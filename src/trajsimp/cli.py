@@ -46,7 +46,6 @@ def _add_common(p: argparse.ArgumentParser, multi_epsilon: bool = False):
     p.add_argument("--gamma-m", type=float, default=pi / 3.0, help="min patch turn angle")
     p.add_argument("--opts", default="11111", help="optimization toggles, e.g. 10110")
     p.add_argument("--geo", action="store_true", help="x,y are lon,lat degrees")
-    p.add_argument("--threads", type=int, default=1, help="trajectory-level threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,14 +105,13 @@ def _run_config(args, zetas, output=None) -> RunConfig:
         gamma_m=args.gamma_m,
         opts=_parse_opts(args.opts),
         geo=args.geo,
-        threads=args.threads,
     )
 
 
 def _cmd_compress(args) -> int:
     cfg = _run_config(args, [args.epsilon])
     corpus = ingest_csv(cfg.input, geo=cfg.geo)
-    reps = compress_corpus(corpus, args.algo, cfg.fit_config(args.epsilon), cfg.threads)
+    reps = compress_corpus(corpus, args.algo, cfg.fit_config(args.epsilon))
     rows = emit_segments(reps.values(), args.output)
     stats = compute_stats(list(reps.values()), list(corpus.values()))
     print(
@@ -139,7 +137,7 @@ def _cmd_compare(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _run_config(args, [args.epsilon])
     corpus = ingest_csv(cfg.input, geo=cfg.geo)
-    reps = compress_corpus(corpus, args.algo, cfg.fit_config(args.epsilon), cfg.threads)
+    reps = compress_corpus(corpus, args.algo, cfg.fit_config(args.epsilon))
     bad_total = 0
     for tid, pts in corpus.items():
         ok, violations = verify_error_bound(reps[tid], pts, args.epsilon)

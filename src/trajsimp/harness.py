@@ -1,14 +1,11 @@
 """Corpus-level comparison runs and JSON reports.
 
 Compression is timed around the per-trajectory loop only; ingest, stats,
-and serialization stay outside the clock.  Results are independent of the
-thread count because every compressor is a pure function of one
-trajectory.
+and serialization stay outside the clock.
 """
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from math import pi
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -43,7 +40,6 @@ class RunConfig:
     opts: Tuple[bool, bool, bool, bool, bool] = (True,) * 5
     k_cap: int = 400_000
     geo: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         for name in self.algorithms:
@@ -53,8 +49,6 @@ class RunConfig:
             raise ValueError("zeta_list must not be empty")
         if len(self.opts) != 5:
             raise ValueError("opts must have exactly 5 entries")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def fit_config(self, zeta: float) -> FitConfig:
         o1, o2, o3, o4, o5 = self.opts
@@ -74,19 +68,14 @@ def compress_corpus(
     corpus: Dict[str, List[Point]],
     algo: str,
     cfg: FitConfig,
-    threads: int = 1,
 ) -> Dict[str, PiecewiseRepresentation]:
     fn = ALGORITHMS[algo]
-    ids = list(corpus.keys())
-    trajs = [corpus[tid] for tid in ids]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reps = list(pool.map(lambda pts: fn(pts, cfg), trajs))
-    else:
-        reps = [fn(pts, cfg) for pts in trajs]
-    for tid, rep in zip(ids, reps):
+    reps = {}
+    for tid, pts in corpus.items():
+        rep = fn(pts, cfg)
         rep.traj_id = tid
-    return dict(zip(ids, reps))
+        reps[tid] = rep
+    return reps
 
 
 def _stats_dict(stats: CompressionStats) -> dict:
@@ -112,7 +101,7 @@ def run_compare(cfg: RunConfig) -> dict:
         for zeta in cfg.zeta_list:
             fit_cfg = cfg.fit_config(zeta)
             start = time.perf_counter()
-            reps = compress_corpus(corpus, algo, fit_cfg, cfg.threads)
+            reps = compress_corpus(corpus, algo, fit_cfg)
             wall = time.perf_counter() - start
             stats = compute_stats(list(reps.values()), trajs, wall)
             entry = {"algo": algo, "zeta": zeta}
@@ -131,7 +120,6 @@ def run_compare(cfg: RunConfig) -> dict:
             "opts": "".join("1" if o else "0" for o in cfg.opts),
             "k_cap": cfg.k_cap,
             "geo": cfg.geo,
-            "threads": cfg.threads,
         },
         "results": results,
     }

@@ -3,7 +3,8 @@
 Input schema: ``traj_id,t,x,y`` with a header row.  Rows may interleave
 trajectories; within one trajectory timestamps must not decrease.  Rows
 that repeat the previous timestamp of their trajectory are dropped
-(first occurrence wins); a decrease is a hard error naming the row.
+(first occurrence wins); a decrease, a non-finite t/x/y or a wrong field
+count is a hard error naming the line.  Blank lines are skipped.
 
 Output schema: ``traj_id,seg_index,sx,sy,st,ex,ey,et,covered,patched_start``
 with floats printed to 9 significant digits, so files are byte-stable
@@ -11,6 +12,7 @@ across runs and platforms.
 """
 
 import csv
+import math
 from typing import Dict, Iterable, List, Union
 
 from .errors import DataError
@@ -39,45 +41,58 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, List[Point]]:
     trajectory is projected to metres about its own first point.
     """
     corpus: Dict[str, List[Point]] = {}
+    last_t: Dict[str, float] = {}
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file, expected header {INPUT_COLUMNS}")
-        missing = set(INPUT_COLUMNS) - set(reader.fieldnames)
+        missing = set(INPUT_COLUMNS) - set(header)
         if missing:
             raise DataError(f"{path}: header is missing columns {sorted(missing)}")
-        # Line numbers include the header, matching what editors show.
-        for lineno, row in enumerate(reader, start=2):
-            # DictReader parks surplus fields under None and fills short
-            # rows with None values; both are arity errors here.
-            if None in row or None in row.values():
-                raise DataError(
-                    f"{path} row {lineno}: expected {len(reader.fieldnames)} "
-                    "fields"
-                )
-            traj_id = row["traj_id"]
-            if traj_id is None or traj_id == "":
-                raise DataError(f"{path} row {lineno}: empty traj_id")
+        # A repeated column name resolves to its last occurrence.
+        col = {name: i for i, name in enumerate(header)}
+        i_id, i_t, i_x, i_y = (col[name] for name in INPUT_COLUMNS)
+        width = len(header)
+        isfinite = math.isfinite
+        new_point = tuple.__new__  # equal Points, minus NamedTuple's Python __new__
+
+        def bad_row(problem: str) -> DataError:
+            # Physical line numbers, blank lines included, as editors show.
+            return DataError(f"{path} row {reader.line_num}: {problem}")
+
+        for row in reader:
+            if not row:
+                continue  # blank line
+            if len(row) != width:
+                raise bad_row(f"expected {width} fields")
+            traj_id = row[i_id]
+            if not traj_id:
+                raise bad_row("empty traj_id")
             try:
-                t = float(row["t"])
-                x = float(row["x"])
-                y = float(row["y"])
-            except (TypeError, ValueError):
-                raise DataError(f"{path} row {lineno}: non-numeric t/x/y") from None
-            pts = corpus.setdefault(traj_id, [])
-            if pts:
-                if t == pts[-1].t:
-                    continue
-                if t < pts[-1].t:
-                    raise DataError(
-                        f"{path} row {lineno}: trajectory {traj_id!r} timestamp "
-                        f"{t!r} goes backwards from {pts[-1].t!r}"
-                    )
-            pts.append(Point(x, y, t))
+                t = float(row[i_t])
+                x = float(row[i_x])
+                y = float(row[i_y])
+            except ValueError:
+                raise bad_row("non-numeric t/x/y") from None
+            if not (isfinite(t) and isfinite(x) and isfinite(y)):
+                raise bad_row("non-finite t/x/y")
+            prev = last_t.get(traj_id)
+            if prev is None:
+                corpus[traj_id] = []
+            elif t == prev:
+                continue
+            elif t < prev:
+                raise bad_row(
+                    f"trajectory {traj_id!r} timestamp {t!r} goes backwards "
+                    f"from {prev!r}"
+                )
+            last_t[traj_id] = t
+            corpus[traj_id].append(new_point(Point, (x, y, t)))
     if not corpus:
         raise DataError(f"{path}: no data rows")
     if geo:

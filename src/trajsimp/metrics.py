@@ -10,13 +10,14 @@ representation lies about what it consumed and raises ``InvariantError``.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvariantError
 from .geometry import Point
-from .onepass import PiecewiseRepresentation
+from .onepass import PiecewiseRepresentation, Segment
 
 BOUND_SLACK = 1e-9
 
@@ -42,11 +43,12 @@ class CompressionStats:
         return self.patched / self.anomalous
 
 
-def point_mapping(rep: PiecewiseRepresentation, n: int) -> List[Tuple[int, int]]:
-    """Half-open index ranges [lo, hi) of the input points each segment
-    accounts for.  Raises InvariantError when the covered counts do not
-    add up to n."""
-    ranges: List[Tuple[int, int]] = []
+def _walk(
+    rep: PiecewiseRepresentation, n: int
+) -> Iterator[Tuple[Segment, int]]:
+    """(segment, fresh point count) along the covered-count walk over n
+    input points.  Raises InvariantError, once exhausted, when the counts do
+    not add up to n."""
     idx = 0
     for i, seg in enumerate(rep.segments):
         fresh = seg.covered if (i == 0 or seg.patched_start) else seg.covered - 1
@@ -54,54 +56,72 @@ def point_mapping(rep: PiecewiseRepresentation, n: int) -> List[Tuple[int, int]]
             raise InvariantError(
                 f"segment {i} covers {seg.covered} points but shares its start"
             )
-        ranges.append((idx, idx + fresh))
+        yield seg, fresh
         idx += fresh
     if idx != n:
         raise InvariantError(f"covered counts consume {idx} points, input has {n}")
+
+
+def point_mapping(rep: PiecewiseRepresentation, n: int) -> List[Tuple[int, int]]:
+    """Half-open index ranges [lo, hi) of the input points each segment
+    accounts for.  Raises InvariantError when the covered counts do not
+    add up to n."""
+    ranges: List[Tuple[int, int]] = []
+    idx = 0
+    for _, fresh in _walk(rep, n):
+        ranges.append((idx, idx + fresh))
+        idx += fresh
     return ranges
 
 
+def _coords(traj: Sequence[Point]) -> np.ndarray:
+    """The trajectory as an (n, 3) array of x, y, t rows."""
+    flat = np.fromiter(
+        chain.from_iterable(traj), dtype=np.float64, count=3 * len(traj)
+    )
+    return flat.reshape(-1, 3)
+
+
 def _segment_distances(
-    xs: np.ndarray, ys: np.ndarray, rep: PiecewiseRepresentation
+    rep: PiecewiseRepresentation, traj: Sequence[Point]
 ) -> np.ndarray:
     """Distance from every input point to the line of the segment it maps
     to.  The walk assigns boundary samples to the earlier segment; they sit
     on both lines, so the choice does not affect any metric."""
-    out = np.zeros(len(xs))
-    for (lo, hi), seg in zip(point_mapping(rep, len(xs)), rep.segments):
-        if lo == hi:
-            continue
-        dx = seg.end.x - seg.start.x
-        dy = seg.end.y - seg.start.y
-        length = math.hypot(dx, dy)
-        px = xs[lo:hi] - seg.start.x
-        py = ys[lo:hi] - seg.start.y
-        if length == 0.0:
-            out[lo:hi] = np.hypot(px, py)
-        else:
-            out[lo:hi] = np.abs(dx * py - dy * px) / length
+    # One Python pass over the segments gathers their line parameters; the
+    # rest is whole-array numpy.  The length comes from math.hypot because
+    # np.hypot can differ from it in the last bit.
+    table: List[float] = []
+    for seg, fresh in _walk(rep, len(traj)):
+        start, end = seg.start, seg.end
+        dx = end.x - start.x
+        dy = end.y - start.y
+        table += (fresh, start.x, start.y, dx, dy, math.hypot(dx, dy))
+    cols = np.array(table, dtype=np.float64).reshape(-1, 6)
+    counts = cols[:, 0].astype(np.intp)
+    sx, sy, dx, dy, length = (np.repeat(cols[:, k], counts) for k in range(1, 6))
+    xyt = _coords(traj)
+    px = xyt[:, 0] - sx
+    py = xyt[:, 1] - sy
+    out = np.abs(dx * py - dy * px)
+    flat = length == 0.0
+    np.divide(out, length, out=out, where=~flat)
+    if flat.any():
+        out[flat] = np.hypot(px[flat], py[flat])
     return out
-
-
-def _coords(traj: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
-    xs = np.fromiter((p.x for p in traj), dtype=np.float64, count=len(traj))
-    ys = np.fromiter((p.y for p in traj), dtype=np.float64, count=len(traj))
-    return xs, ys
 
 
 def average_error(rep: PiecewiseRepresentation, traj: Sequence[Point]) -> float:
     """Mean distance of the input points to their mapped segment lines."""
     if not traj:
         raise ValueError("empty trajectory")
-    xs, ys = _coords(traj)
-    return float(np.mean(_segment_distances(xs, ys, rep)))
+    return float(np.mean(_segment_distances(rep, traj)))
 
 
 def max_error(rep: PiecewiseRepresentation, traj: Sequence[Point]) -> float:
     if not traj:
         raise ValueError("empty trajectory")
-    xs, ys = _coords(traj)
-    return float(np.max(_segment_distances(xs, ys, rep)))
+    return float(np.max(_segment_distances(rep, traj)))
 
 
 def verify_error_bound(
@@ -111,10 +131,10 @@ def verify_error_bound(
 
     Returns (ok, violations) where violations lists (point_index, distance).
     """
-    xs, ys = _coords(traj)
-    dists = _segment_distances(xs, ys, rep)
+    dists = _segment_distances(rep, traj)
     limit = zeta * (1.0 + BOUND_SLACK)
-    bad = np.nonzero(dists > limit)[0]
+    # Written as "not within" so that a NaN distance counts as a violation.
+    bad = np.nonzero(~(dists <= limit))[0]
     violations = [(int(i), float(dists[i])) for i in bad]
     return (len(violations) == 0), violations
 
@@ -157,8 +177,7 @@ def compute_stats(
     anomalous = 0
     patched = 0
     for rep, traj in zip(reps, trajs):
-        xs, ys = _coords(traj)
-        dists = _segment_distances(xs, ys, rep)
+        dists = _segment_distances(rep, traj)
         total_pts += len(traj)
         total_segs += len(rep.segments)
         err_sum += float(np.sum(dists))

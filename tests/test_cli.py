@@ -151,6 +151,23 @@ class TestVerify:
         assert "invariant violated" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("verb", ["compress", "verify"])
+    @pytest.mark.parametrize("algo", ["dp", "opw", "fbqs", "operb"])
+    def test_nan_coordinate_exits_2(self, tmp_path, capsys, verb, algo):
+        path = tmp_path / "nan.csv"
+        path.write_text("traj_id,t,x,y\na,0,0,0\na,1,nan,1\na,2,2,0\na,3,3,1\n")
+        out = tmp_path / "segs.csv"
+        argv = [verb, "--input", str(path), "--epsilon", "1", "--algo", algo]
+        if verb == "compress":
+            argv += ["--output", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "row 3: non-finite t/x/y" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestGeo:
     def test_geo_flag_projects_degrees_before_compressing(self, tmp_path, capsys):
         path = tmp_path / "geo.csv"

@@ -1,4 +1,4 @@
-"""Corpus runner: RunConfig checks, threading, and report assembly."""
+"""Corpus runner: RunConfig checks, compression, and report assembly."""
 
 import json
 import math
@@ -43,7 +43,6 @@ class TestRunConfig:
             ({"algorithms": ("operb", "ramer")}, "unknown algorithm"),
             ({"zeta_list": ()}, "zeta_list"),
             ({"opts": (True, False)}, "exactly 5"),
-            ({"threads": 0}, "threads"),
         ],
     )
     def test_rejects_bad_fields(self, kwargs, msg):
@@ -71,20 +70,6 @@ class TestCompressCorpus:
         assert list(reps) == ["walk", "grid"]
         assert reps["walk"].traj_id == "walk"
         assert reps["grid"].traj_id == "grid"
-
-    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
-    def test_threading_does_not_change_results(self, corpus, algo):
-        cfg = RunConfig(input="unused").fit_config(20.0)
-        serial = compress_corpus(corpus, algo, cfg, threads=1)
-        pooled = compress_corpus(corpus, algo, cfg, threads=4)
-        for tid in corpus:
-            a, b = serial[tid].segments, pooled[tid].segments
-            assert len(a) == len(b)
-            for sa, sb in zip(a, b):
-                assert sa.start == sb.start
-                assert sa.end == sb.end
-                assert sa.covered == sb.covered
-                assert sa.patched_start == sb.patched_start
 
 
 class TestRunCompare:

@@ -73,6 +73,22 @@ class TestIngest:
         with pytest.raises(DataError, match="row 2: non-numeric"):
             ingest_csv(write(tmp_path, "traj_id,t,x,y\na,zero,1,2\n"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("col", ["t", "x", "y"])
+    def test_non_finite(self, tmp_path, col, bad):
+        values = {"t": "1", "x": "2", "y": "3", col: bad}
+        text = "traj_id,t,x,y\na,0,0,0\na,{t},{x},{y}\n".format(**values)
+        with pytest.raises(DataError, match="row 3: non-finite t/x/y"):
+            ingest_csv(write(tmp_path, text))
+
+    def test_errors_name_the_physical_line(self, tmp_path):
+        path = write(tmp_path, "traj_id,t,x,y\na,0,0,0\n\n\na,1,1,1\na,0.5,2,2\n")
+        with pytest.raises(DataError, match="row 6: trajectory 'a' timestamp 0.5"):
+            ingest_csv(path)
+        path = write(tmp_path, "traj_id,t,x,y\r\n\r\na,0,0\r\n", name="crlf.csv")
+        with pytest.raises(DataError, match="row 3: expected 4 fields"):
+            ingest_csv(path)
+
     def test_duplicate_timestamp_first_wins(self, tmp_path):
         path = write(tmp_path, "traj_id,t,x,y\na,0,1,1\na,0,9,9\na,1,2,2\n")
         assert ingest_csv(path)["a"] == [Point(1, 1, 0), Point(2, 2, 1)]

@@ -1,5 +1,7 @@
 """Error measurement, bound verification, and corpus statistics."""
 
+import math
+
 import pytest
 
 from trajsimp.baselines import dp_simplify
@@ -92,6 +94,14 @@ class TestVerifyErrorBound:
         ok, violations = verify_error_bound(rep, TENT, 0.5)
         assert not ok
         assert violations == [(1, pytest.approx(1.0))]
+
+    def test_non_finite_distance_is_a_violation(self):
+        traj = [P(0, 0, 0), P(math.nan, 1, 1), P(2, 0, 2)]
+        rep = rep_of(Segment(traj[0], traj[2], 3))
+        ok, violations = verify_error_bound(rep, traj, 1.0)
+        assert not ok
+        assert len(violations) == 1
+        assert violations[0][0] == 1 and math.isnan(violations[0][1])
 
 
 class TestCorpusStats:

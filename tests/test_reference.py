@@ -1,0 +1,322 @@
+"""The fast ingest and distance paths against the plain code they replaced.
+
+``ingest_csv`` parses with ``csv.reader`` and positional columns, and
+``_segment_distances`` gathers per-segment line parameters in one pass and
+measures every point with whole-array numpy.  The references below are the
+earlier ``DictReader`` ingest and per-segment distance loop, kept here
+verbatim in behaviour: the fast paths must give the same corpus (values and
+key order), the same error messages, and bit-identical distances.
+"""
+
+import csv
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from trajsimp.datagen import gen_grid_route, gen_random_walk
+from trajsimp.errors import DataError, InvariantError
+from trajsimp.fitting import FitConfig
+from trajsimp.geometry import Point
+from trajsimp.harness import ALGORITHMS
+from trajsimp.io import INPUT_COLUMNS, ingest_csv
+from trajsimp.metrics import _segment_distances, point_mapping
+from trajsimp.onepass import PiecewiseRepresentation, Segment
+
+# -- references --------------------------------------------------------------
+
+
+def reference_ingest(path):
+    """The DictReader ingest; row numbers count non-blank records."""
+    corpus = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file, expected header {INPUT_COLUMNS}")
+        missing = set(INPUT_COLUMNS) - set(reader.fieldnames)
+        if missing:
+            raise DataError(f"{path}: header is missing columns {sorted(missing)}")
+        for lineno, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise DataError(
+                    f"{path} row {lineno}: expected {len(reader.fieldnames)} "
+                    "fields"
+                )
+            traj_id = row["traj_id"]
+            if traj_id is None or traj_id == "":
+                raise DataError(f"{path} row {lineno}: empty traj_id")
+            try:
+                t = float(row["t"])
+                x = float(row["x"])
+                y = float(row["y"])
+            except (TypeError, ValueError):
+                raise DataError(f"{path} row {lineno}: non-numeric t/x/y") from None
+            pts = corpus.setdefault(traj_id, [])
+            if pts:
+                if t == pts[-1].t:
+                    continue
+                if t < pts[-1].t:
+                    raise DataError(
+                        f"{path} row {lineno}: trajectory {traj_id!r} timestamp "
+                        f"{t!r} goes backwards from {pts[-1].t!r}"
+                    )
+            pts.append(Point(x, y, t))
+    if not corpus:
+        raise DataError(f"{path}: no data rows")
+    return corpus
+
+
+def reference_distances(traj, rep):
+    """The per-segment distance loop."""
+    xs = np.fromiter((p.x for p in traj), dtype=np.float64, count=len(traj))
+    ys = np.fromiter((p.y for p in traj), dtype=np.float64, count=len(traj))
+    out = np.zeros(len(xs))
+    for (lo, hi), seg in zip(point_mapping(rep, len(xs)), rep.segments):
+        if lo == hi:
+            continue
+        dx = seg.end.x - seg.start.x
+        dy = seg.end.y - seg.start.y
+        length = math.hypot(dx, dy)
+        px = xs[lo:hi] - seg.start.x
+        py = ys[lo:hi] - seg.start.y
+        if length == 0.0:
+            out[lo:hi] = np.hypot(px, py)
+        else:
+            out[lo:hi] = np.abs(dx * py - dy * px) / length
+    return out
+
+
+def fast_distances(traj, rep):
+    return _segment_distances(rep, traj)
+
+
+# -- distances ---------------------------------------------------------------
+
+
+def parked(traj, every, stay):
+    """Copy of traj where the vehicle stops for ``stay`` extra samples at
+    every ``every``-th point, so some output segments have zero length."""
+    out = []
+    t = 0.0
+    for i, p in enumerate(traj):
+        repeats = 1 + (stay if i % every == 0 else 0)
+        for _ in range(repeats):
+            out.append(Point(p.x, p.y, t))
+            t += 1.0
+    return out
+
+
+trajectories = st.builds(
+    lambda kind, n, seed, park: (
+        parked(kind(n, seed, step=20.0), *park) if park else kind(n, seed, step=20.0)
+    ),
+    st.sampled_from([gen_random_walk, gen_grid_route]),
+    st.integers(2, 400),
+    st.integers(0, 2**32),
+    st.none() | st.tuples(st.integers(1, 50), st.integers(1, 8)),
+)
+
+
+@given(
+    trajectories,
+    st.sampled_from(sorted(ALGORITHMS)),
+    st.sampled_from([0.5, 3.0, 10.0, 40.0, 250.0]),
+)
+def test_distances_match_the_loop_on_every_algorithm(traj, algo, zeta):
+    rep = ALGORITHMS[algo](traj, FitConfig(zeta=zeta))
+    assert np.array_equal(fast_distances(traj, rep), reference_distances(traj, rep))
+
+
+@st.composite
+def hand_built(draw):
+    """A trajectory plus a representation whose segments are drawn freely:
+    zero-length lines, patched starts and segments that take no fresh
+    point, all consistent with the covered-count walk."""
+    coord = st.floats(-1e6, 1e6, allow_nan=False)
+    k = draw(st.integers(1, 12))
+    segs = []
+    total = 0
+    for i in range(k):
+        patched = i > 0 and draw(st.booleans())
+        fresh = draw(st.integers(0 if i else 1, 6))
+        covered = fresh if (i == 0 or patched) else fresh + 1
+        start = Point(draw(coord), draw(coord), 0.0)
+        end = start if draw(st.booleans()) else Point(draw(coord), draw(coord), 0.0)
+        segs.append(Segment(start, end, covered, patched))
+        total += fresh
+    traj = [Point(draw(coord), draw(coord), float(t)) for t in range(total)]
+    return traj, PiecewiseRepresentation(segs)
+
+
+@given(hand_built())
+def test_distances_match_the_loop_on_hand_built_segments(case):
+    traj, rep = case
+    assert np.array_equal(fast_distances(traj, rep), reference_distances(traj, rep))
+
+
+def test_the_algorithm_cases_reach_patches_and_zero_length_segments():
+    patched = gen_grid_route(400, 3, step=20.0)
+    rep = ALGORITHMS["operb-a"](patched, FitConfig(zeta=10.0))
+    assert any(s.patched_start for s in rep.segments)
+    still = parked(gen_random_walk(50, 1, step=20.0), 1, 3)
+    rep = ALGORITHMS["dp"](still[:4], FitConfig(zeta=1.0))
+    assert any(s.start[:2] == s.end[:2] for s in rep.segments)
+    for traj in (patched, still):
+        for algo in ALGORITHMS:
+            rep = ALGORITHMS[algo](traj, FitConfig(zeta=10.0))
+            assert np.array_equal(
+                fast_distances(traj, rep), reference_distances(traj, rep)
+            )
+
+
+@pytest.mark.parametrize(
+    "segs, n, msg",
+    [
+        ([Segment(Point(0, 0), Point(1, 0), 2), Segment(Point(1, 0), Point(2, 0), 0)],
+         2, "segment 1 covers 0 points but shares its start"),
+        ([Segment(Point(0, 0), Point(1, 0), 2), Segment(Point(1, 0), Point(2, 0), 2)],
+         5, "covered counts consume 3 points, input has 5"),
+    ],
+)
+def test_distance_errors_match_the_loop(segs, n, msg):
+    traj = [Point(float(i), 0.0, float(i)) for i in range(n)]
+    rep = PiecewiseRepresentation(segs)
+    for fn in (fast_distances, reference_distances):
+        with pytest.raises(InvariantError, match=re.escape(msg)):
+            fn(traj, rep)
+
+
+# -- ingest ------------------------------------------------------------------
+
+
+def both(path):
+    """(result or error message) of the fast and the reference ingest."""
+    out = []
+    for fn in (ingest_csv, reference_ingest):
+        try:
+            out.append(fn(path))
+        except DataError as exc:
+            out.append(str(exc))
+    return out
+
+
+def write_rows(tmp_path, header, rows, eol="\n", blank_after=()):
+    path = tmp_path / "in.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=eol)
+        writer.writerow(header)
+        for i, row in enumerate(rows):
+            writer.writerow(row)
+            if i in blank_after:
+                fh.write(eol)
+    return str(path)
+
+
+QUIRKS = {
+    "reordered and extra columns": (
+        ["speed", "y", "traj_id", "note", "x", "t"],
+        [["3", "2", "a", "n", "1", "0"], ["4", "5", "b", "", "6", "0"],
+         ["9", "8", "a", "z", "7", "1"]],
+    ),
+    "quoted ids with commas and quotes": (
+        list(INPUT_COLUMNS),
+        [["a,b", "0", "1", "2"], ['say "hi"', "0", "3", "4"], ["a,b", "1", "5", "6"]],
+    ),
+    "duplicate timestamps": (
+        list(INPUT_COLUMNS),
+        [["a", "0", "1", "1"], ["a", "0", "9", "9"], ["b", "2", "0", "0"],
+         ["a", "1", "2", "2"], ["a", "1", "3", "3"]],
+    ),
+    "repeated header name, last wins": (
+        ["traj_id", "x", "t", "x", "y"],
+        [["a", "100", "0", "1", "2"], ["a", "200", "1", "3", "4"]],
+    ),
+    "numeric spellings": (
+        list(INPUT_COLUMNS),
+        [["a", " 1e0", "1_0", "-0"], ["a", "2.", "+.5", "1E-3"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("blanks", [(), (0, 1)], ids=["dense", "blank-lines"])
+@pytest.mark.parametrize("case", sorted(QUIRKS))
+def test_ingest_matches_dictreader_on_csv_quirks(tmp_path, case, eol, blanks):
+    header, rows = QUIRKS[case]
+    fast, ref = both(write_rows(tmp_path, header, rows, eol, blanks))
+    assert isinstance(ref, dict)
+    assert fast == ref
+    assert list(fast) == list(ref)
+    for tid in ref:
+        assert all(type(p) is Point for p in fast[tid])
+
+
+BAD = {
+    "short row": ["a", "1", "2"],
+    "long row": ["a", "1", "2", "3", "4"],
+    "empty id": ["", "1", "2", "3"],
+    "non-numeric": ["a", "one", "2", "3"],
+    "backwards": ["a", "-1", "2", "3"],
+}
+
+
+@pytest.mark.parametrize("blanks", [(), (0, 1)], ids=["dense", "blank-lines"])
+@pytest.mark.parametrize("case", sorted(BAD))
+def test_ingest_errors_match_dictreader_up_to_the_line_number(tmp_path, case, blanks):
+    rows = [["a", "0", "0", "0"], ["b", "0", "1", "1"], BAD[case], ["a", "9", "9", "9"]]
+    fast, ref = both(write_rows(tmp_path, list(INPUT_COLUMNS), rows, "\n", blanks))
+    # The bad record is the fourth line of the file, after any blank ones.
+    assert ref == re.sub(r"row \d+", "row 4", fast)
+    assert f"row {4 + len(blanks)}:" in fast
+
+
+@pytest.mark.parametrize(
+    "text", ["", "traj_id,t,x\na,0,1\n", "traj_id,t,x,y\n", "traj_id,t,x,y\n\n\n"]
+)
+def test_file_level_errors_match_dictreader(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    fast, ref = both(str(path))
+    assert isinstance(fast, str) and fast == ref
+
+
+ids = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n\x00"),
+    min_size=1,
+    max_size=6,
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(["a", "b,c", '"q"']) | ids,
+                       st.integers(-3, 3), finite, finite), max_size=40),
+    st.permutations(range(5)),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sets(st.integers(0, 40), max_size=4),
+)
+def test_ingest_matches_dictreader_on_random_files(
+    tmp_path_factory, rows, order, eol, blanks
+):
+    header = [(*INPUT_COLUMNS, "extra")[i] for i in order]
+    records = []
+    for tid, t, x, y in rows:
+        values = dict(traj_id=tid, t=repr(float(t)), x=repr(x), y=repr(y), extra="e")
+        records.append([values[name] for name in header])
+    path = write_rows(tmp_path_factory.mktemp("rand"), header, records, eol, blanks)
+    fast, ref = both(path)
+    if isinstance(ref, dict):
+        assert fast == ref and list(fast) == list(ref)
+        return
+    line = re.search(r"row (\d+)", ref)
+    if line is None:
+        assert fast == ref
+        return
+    # Only the record count before the failing record may differ: the
+    # fast path reports the physical line, counting skipped blank lines.
+    assert re.sub(r"row \d+", "row N", fast) == re.sub(r"row \d+", "row N", ref)
+    bad = int(line.group(1)) - 2  # index into records
+    assert f"row {2 + bad + sum(1 for b in blanks if b < bad)}:" in fast
