@@ -5,7 +5,7 @@ points in constant space, plus batch baselines, quality metrics,
 deterministic data generators, and a CSV/CLI harness around them.
 """
 
-from .baselines import HullState, dp_simplify, fbqs_simplify, opw_simplify
+from .baselines import dp_simplify, fbqs_simplify, opw_simplify
 from .datagen import (
     GenSpec,
     SplitMix64,
@@ -15,41 +15,18 @@ from .datagen import (
     gen_stepwise_adversarial,
     generate,
     optimal_segments,
-    stepwise_drift,
 )
 from .errors import DataError, InvariantError
-from .fitting import (
-    Classification,
-    FitConfig,
-    FitState,
-    classify,
-    first_active_threshold,
-    fit_step,
-    zone_index,
-)
-from .geometry import (
-    DirectedSegment,
-    Point,
-    angle_of,
-    included_angle,
-    line_intersection,
-    norm_angle,
-    point_line_distance,
-    project_equirectangular,
-    segment_between,
-    sign_f,
-)
+from .fitting import FitConfig
+from .geometry import Point
 from .harness import ALGORITHMS, RunConfig, compress_corpus, format_report, run_compare
 from .io import emit_segments, ingest_csv, write_corpus
 from .metrics import (
     CompressionStats,
     average_error,
-    compression_ratio,
     compute_stats,
     max_error,
-    patching_ratio,
     point_mapping,
-    segment_histogram,
     verify_error_bound,
 )
 from .onepass import (
@@ -65,14 +42,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "Classification",
     "CompressionStats",
     "DataError",
-    "DirectedSegment",
     "FitConfig",
-    "FitState",
     "GenSpec",
-    "HullState",
     "InvariantError",
     "Mode",
     "OperbEncoder",
@@ -81,43 +54,27 @@ __all__ = [
     "RunConfig",
     "Segment",
     "SplitMix64",
-    "angle_of",
     "average_error",
-    "classify",
     "compress_corpus",
-    "compression_ratio",
     "compute_stats",
     "dp_simplify",
     "emit_segments",
     "fbqs_simplify",
     "figure_fixture",
-    "first_active_threshold",
-    "fit_step",
     "format_report",
     "gen_grid_route",
     "gen_random_walk",
     "gen_stepwise_adversarial",
     "generate",
-    "included_angle",
     "ingest_csv",
-    "line_intersection",
     "max_error",
-    "norm_angle",
     "opw_simplify",
     "optimal_segments",
-    "patching_ratio",
-    "point_line_distance",
     "point_mapping",
-    "project_equirectangular",
     "run_compare",
-    "segment_between",
-    "segment_histogram",
-    "sign_f",
     "simplify",
-    "stepwise_drift",
     "try_patch",
     "verify_error_bound",
     "write_corpus",
-    "zone_index",
     "__version__",
 ]

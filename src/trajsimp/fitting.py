@@ -21,11 +21,10 @@ The five toggles on ``FitConfig``:
         carried here so one config object describes a whole run
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
-from .geometry import DirectedSegment, Point, norm_angle
+from .geometry import Point, norm_angle
 
 _HALF_PI = math.pi / 2.0
 _PI = math.pi
@@ -59,17 +58,6 @@ class FitConfig:
             raise ValueError("parallel_tol must be finite and > 0")
 
 
-class Classification(enum.Enum):
-    INACTIVE = "inactive"
-    ACTIVE = "active"
-    BREAK = "break"
-
-
-def first_active_threshold(cfg: FitConfig) -> float:
-    """Radial distance a point must exceed to become the first active one."""
-    return cfg.zeta if cfg.opt1 else 0.25 * cfg.zeta
-
-
 def zone_index(r_len: float, zeta: float) -> int:
     """Index j of the radial zone ((j - 1/2)*zeta/2, (j + 1/2)*zeta/2].
 
@@ -93,8 +81,7 @@ class FitState:
 
     The fitted line and the radial segment to the last active point are
     stored unpacked (length, theta, direction cosines) because the per-point
-    deviation test is the hottest code in the package; ``fitted`` and
-    ``r_active`` assemble the usual segment views on demand.
+    deviation test is the hottest code in the package.
     """
 
     __slots__ = (
@@ -128,20 +115,10 @@ class FitState:
         self.ra_cos = 1.0
         self.ra_sin = 0.0
 
-    @property
-    def fitted(self) -> DirectedSegment:
-        return DirectedSegment(self.anchor, self.fit_len, self.fit_theta)
-
-    @property
-    def r_active(self) -> DirectedSegment:
-        if self.ra_len == 0.0:
-            return DirectedSegment(self.anchor, 0.0, 0.0)
-        theta = norm_angle(math.atan2(self.ra_sin, self.ra_cos))
-        return DirectedSegment(self.anchor, self.ra_len, theta)
-
     def __repr__(self):
         return (
-            f"FitState(anchor={self.anchor!r}, fitted={self.fitted!r}, "
+            f"FitState(anchor={self.anchor!r}, fit_len={self.fit_len}, "
+            f"fit_theta={self.fit_theta}, "
             f"points_in_segment={self.points_in_segment}, "
             f"d_plus_max={self.d_plus_max}, d_minus_max={self.d_minus_max}, "
             f"last_zone={self.last_zone})"
@@ -149,7 +126,15 @@ class FitState:
 
 
 def _sign_from_diff(a: float) -> int:
-    # Same intervals as geometry.sign_f, on the raw theta difference.
+    """Rotation sense (+1 counter-clockwise, -1 clockwise) that turns the
+    fitted line toward a point whose bearing differs from it by a.
+
+    a is the raw difference of two bearings in [0, 2*pi), so it spans
+    (-2*pi, 2*pi). +1 exactly on (-2*pi, -3*pi/2] + [-pi, -pi/2] +
+    [0, pi/2] + [pi, 3*pi/2), -1 otherwise. Interval endpoints are
+    intentional: the half-open bounds make the map total and keep a turn of
+    exactly pi counter-clockwise.
+    """
     if 0.0 <= a <= _HALF_PI:
         return 1
     if _PI <= a < _3_HALF_PI:
@@ -161,22 +146,11 @@ def _sign_from_diff(a: float) -> int:
     return -1
 
 
-def classify(state: FitState, p: Point, cfg: FitConfig) -> Classification:
-    """Decide how p relates to the segment under construction. Pure."""
-    return _advance(state, p, cfg, apply=False)
-
-
-def fit_step(state: FitState, p: Point, cfg: FitConfig) -> FitState:
-    """Consume p into the state. p must not classify as Break."""
-    cls = _advance(state, p, cfg, apply=True)
-    if cls is Classification.BREAK:
-        raise ValueError("fit_step called on a breaking point")
-    return state
-
-
-def _advance(state: FitState, p: Point, cfg: FitConfig, apply: bool) -> Classification:
-    """classify() and fit_step() fused; mutates state only when apply=True
-    and the point does not break. Returns the classification either way."""
+def _advance(state: FitState, p: Point, cfg: FitConfig) -> bool:
+    """Consume p into the segment under construction and return True, or
+    return False, leaving state untouched, when p breaks the segment."""
+    if state.points_in_segment >= cfg.k_cap:
+        return False
     zeta = cfg.zeta
     half = 0.5 * zeta
     dx = p.x - state.anchor.x
@@ -187,28 +161,24 @@ def _advance(state: FitState, p: Point, cfg: FitConfig, apply: bool) -> Classifi
     if length == 0.0:
         # No fitted line yet: every point inside the first-active radius is
         # within zeta of any line through the anchor, so no distance test.
-        if state.points_in_segment >= cfg.k_cap:
-            return Classification.BREAK
         thr = zeta if cfg.opt1 else 0.25 * zeta
         if r_len <= thr:
-            if apply:
-                state.points_in_segment += 1
-            return Classification.INACTIVE
-        # First active point: case (2), theta snaps to the radial bearing.
-        if apply:
-            j = zone_index(r_len, zeta)
-            inv = 1.0 / r_len
-            state.fit_len = j * half
-            state.fit_theta = norm_angle(math.atan2(dy, dx))
-            state.fit_cos = dx * inv
-            state.fit_sin = dy * inv
-            state.ra_len = r_len
-            state.ra_cos = state.fit_cos
-            state.ra_sin = state.fit_sin
-            state.last_active = p
-            state.last_zone = j
             state.points_in_segment += 1
-        return Classification.ACTIVE
+            return True
+        # First active point: case (2), theta snaps to the radial bearing.
+        j = zone_index(r_len, zeta)
+        inv = 1.0 / r_len
+        state.fit_len = j * half
+        state.fit_theta = norm_angle(math.atan2(dy, dx))
+        state.fit_cos = dx * inv
+        state.fit_sin = dy * inv
+        state.ra_len = r_len
+        state.ra_cos = state.fit_cos
+        state.ra_sin = state.fit_sin
+        state.last_active = p
+        state.last_zone = j
+        state.points_in_segment += 1
+        return True
 
     cos_l = state.fit_cos
     sin_l = state.fit_sin
@@ -234,60 +204,50 @@ def _advance(state: FitState, p: Point, cfg: FitConfig, apply: bool) -> Classifi
     else:
         plus = state.d_plus_max
         minus = state.d_minus_max if state.d_minus_max > d else d
-    if cfg.opt2:
-        ok_half = plus + minus <= zeta
-    else:
-        ok_half = d <= half
-
-    if state.points_in_segment >= cfg.k_cap:
-        return Classification.BREAK
+    ok_half = (plus + minus <= zeta) if cfg.opt2 else (d <= half)
+    if not ok_half:
+        return False
 
     gain = r_len - length
     if gain <= 0.25 * zeta:
-        if not ok_half:
-            return Classification.BREAK
         d_ra = dx * state.ra_sin - dy * state.ra_cos
         if d_ra < 0.0:
             d_ra = -d_ra
         if d_ra > zeta:
-            return Classification.BREAK
-        if apply:
-            state.points_in_segment += 1
-            state.d_plus_max = plus
-            state.d_minus_max = minus
-        return Classification.INACTIVE
-
-    if not ok_half:
-        return Classification.BREAK
-    if apply:
-        # Case (3): stretch to the new zone and rotate toward the point.
-        j = zone_index(r_len, zeta)
-        jl = j * half
+            return False
+        state.points_in_segment += 1
         state.d_plus_max = plus
         state.d_minus_max = minus
-        d_x = d
-        if cfg.opt3:
-            ex = plus if f > 0 else minus
-            u = d / jl
-            if u > 1.0:
-                u = 1.0
-            a_full = j * math.asin(u)
-            cap = jl if a_full >= _HALF_PI else jl * math.sin(a_full)
-            d_x = ex if ex < cap else cap
-        dj = (j - state.last_zone) if cfg.opt4 else 1
-        arg = d_x / jl
-        if arg > 1.0:
-            arg = 1.0
-        theta = norm_angle(state.fit_theta + f * math.asin(arg) * (dj / j))
-        inv = 1.0 / r_len
-        state.fit_len = jl
-        state.fit_theta = theta
-        state.fit_cos = math.cos(theta)
-        state.fit_sin = math.sin(theta)
-        state.ra_len = r_len
-        state.ra_cos = dx * inv
-        state.ra_sin = dy * inv
-        state.last_active = p
-        state.last_zone = j
-        state.points_in_segment += 1
-    return Classification.ACTIVE
+        return True
+
+    # Case (3): stretch to the new zone and rotate toward the point.
+    j = zone_index(r_len, zeta)
+    jl = j * half
+    state.d_plus_max = plus
+    state.d_minus_max = minus
+    d_x = d
+    if cfg.opt3:
+        ex = plus if f > 0 else minus
+        u = d / jl
+        if u > 1.0:
+            u = 1.0
+        a_full = j * math.asin(u)
+        cap = jl if a_full >= _HALF_PI else jl * math.sin(a_full)
+        d_x = ex if ex < cap else cap
+    dj = (j - state.last_zone) if cfg.opt4 else 1
+    arg = d_x / jl
+    if arg > 1.0:
+        arg = 1.0
+    theta = norm_angle(state.fit_theta + f * math.asin(arg) * (dj / j))
+    inv = 1.0 / r_len
+    state.fit_len = jl
+    state.fit_theta = theta
+    state.fit_cos = math.cos(theta)
+    state.fit_sin = math.sin(theta)
+    state.ra_len = r_len
+    state.ra_cos = dx * inv
+    state.ra_sin = dy * inv
+    state.last_active = p
+    state.last_zone = j
+    state.points_in_segment += 1
+    return True

@@ -85,30 +85,10 @@ def included_angle(l1: DirectedSegment, l2: DirectedSegment) -> float:
     """Turn from l1 to l2 as the raw difference l2.theta - l1.theta.
 
     Deliberately not renormalised: with both inputs in [0, 2*pi) the result
-    spans (-2*pi, 2*pi), and the sign classification below distinguishes
+    spans (-2*pi, 2*pi), and the interval tests of the callers distinguish
     e.g. -pi/2 from +3*pi/2.
     """
     return l2.theta - l1.theta
-
-
-def sign_f(r: DirectedSegment, l_prev: DirectedSegment) -> int:
-    """Rotation sense (+1 counter-clockwise, -1 clockwise) that moves l_prev
-    toward r's bearing.
-
-    +1 exactly on (-2*pi, -3*pi/2] + [-pi, -pi/2] + [0, pi/2] + [pi, 3*pi/2),
-    -1 otherwise. Interval endpoints are intentional: the half-open bounds
-    make the map total and keep a turn of exactly pi counter-clockwise.
-    """
-    a = included_angle(l_prev, r)
-    if 0.0 <= a <= math.pi / 2.0:
-        return 1
-    if math.pi <= a < 1.5 * math.pi:
-        return 1
-    if -math.pi <= a <= -math.pi / 2.0:
-        return 1
-    if a <= -1.5 * math.pi:
-        return 1
-    return -1
 
 
 def line_intersection(

@@ -139,16 +139,6 @@ def verify_error_bound(
     return (len(violations) == 0), violations
 
 
-def compression_ratio(
-    reps: Sequence[PiecewiseRepresentation], trajs: Sequence[Sequence[Point]]
-) -> float:
-    """Total output segments over total input points, across a corpus."""
-    total_pts = sum(len(t) for t in trajs)
-    if total_pts == 0:
-        raise ValueError("empty corpus")
-    return sum(len(r.segments) for r in reps) / total_pts
-
-
 def segment_histogram(reps: Sequence[PiecewiseRepresentation]) -> Dict[int, int]:
     """How many output segments cover exactly k input points, per k."""
     hist: Dict[int, int] = {}
@@ -156,10 +146,6 @@ def segment_histogram(reps: Sequence[PiecewiseRepresentation]) -> Dict[int, int]
         for seg in rep.segments:
             hist[seg.covered] = hist.get(seg.covered, 0) + 1
     return dict(sorted(hist.items()))
-
-
-def patching_ratio(stats: CompressionStats) -> float:
-    return stats.patching_ratio
 
 
 def compute_stats(

@@ -18,22 +18,19 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from .errors import DataError, InvariantError
-from .fitting import (
-    Classification,
-    FitConfig,
-    FitState,
-    _advance,
-    _sign_from_diff,
-    zone_index,
-)
+from .fitting import FitConfig, FitState, _advance, _sign_from_diff, zone_index
 from .geometry import (
     DirectedSegment,
     Point,
     included_angle,
     line_intersection,
     norm_angle,
+    point_line_distance,
     segment_between,
 )
+
+
+_INF = math.inf
 
 
 class Mode(enum.Enum):
@@ -81,6 +78,15 @@ class PiecewiseRepresentation:
 
     def __iter__(self):
         return iter(self.segments)
+
+
+def _point_error(k: int, p: Point, last_t: float) -> DataError:
+    """The error for input point k, which failed the finite-and-increasing
+    check against the previous timestamp last_t."""
+    x, y, t = p
+    if not (-_INF < x < _INF and -_INF < y < _INF and -_INF < t < _INF):
+        return DataError(f"point {k}: non-finite coordinate")
+    return DataError(f"point {k}: timestamp {t!r} not greater than {last_t!r}")
 
 
 def try_patch(
@@ -133,8 +139,9 @@ class OperbEncoder:
         if first is None:
             raise ValueError("encoder needs the first point up front")
         mode = Mode(mode)  # accept "operb"/"operb-a" strings too
-        if not (math.isfinite(first.x) and math.isfinite(first.y) and math.isfinite(first.t)):
-            raise DataError("point 0: non-finite coordinate")
+        x, y, t = first
+        if not (-_INF < t < _INF and -_INF < x < _INF and -_INF < y < _INF):
+            raise _point_error(0, first, -_INF)
         self.cfg = cfg
         self.mode = mode
         self.fit = FitState(anchor=first)
@@ -148,11 +155,6 @@ class OperbEncoder:
         self._finished = False
 
     # -- internal plumbing -------------------------------------------------
-
-    def _account(self, seg: Segment) -> None:
-        # Called once per segment when covered is final (pre-patching).
-        if seg.covered == 2:
-            self.n_anomalous += 1
 
     def _route(self, seg: Segment, out: List[Segment]) -> None:
         """Lazy-buffer routing for patching mode; covered must be final."""
@@ -180,11 +182,15 @@ class OperbEncoder:
         pb.prev = seg
 
     def _dispatch(self, seg: Segment, out: List[Segment]) -> None:
-        """Hand a finalized segment to the output path of the current mode."""
-        self._account(seg)
-        if self.mode is Mode.OPERB_A:
+        """Hand a segment whose covered count is final to the output path of
+        the current mode: straight out in plain mode, through the lazy
+        buffer in patching mode. Nothing else appends a closed segment."""
+        if seg.covered == 2:
+            self.n_anomalous += 1
+        if self.mode is Mode.OPERB:
+            out.append(seg)
+        else:
             self._route(seg, out)
-        # Plain mode segments were already appended at close time.
 
     def _close(self) -> Segment:
         fit = self.fit
@@ -193,19 +199,10 @@ class OperbEncoder:
         return seg
 
     def _absorbable(self, p: Point) -> bool:
-        line = self._absorb_line
-        if line.length == 0.0:
-            d = math.hypot(p.x - line.start.x, p.y - line.start.y)
-        else:
-            d = abs(
-                (p.x - line.start.x) * math.sin(line.theta)
-                - (p.y - line.start.y) * math.cos(line.theta)
-            )
-        return d <= self.cfg.zeta
+        return point_line_distance(p, self._absorb_line) <= self.cfg.zeta
 
     def _consume_fresh(self, p: Point) -> None:
-        cls = _advance(self.fit, p, self.cfg, apply=True)
-        if cls is Classification.BREAK:
+        if not _advance(self.fit, p, self.cfg):
             raise InvariantError("fresh fit state rejected a point")
 
     def _break_at(self, p: Point, out: List[Segment]) -> bool:
@@ -216,8 +213,6 @@ class OperbEncoder:
         fit state instead.
         """
         seg = self._close()
-        if self.mode is Mode.OPERB:
-            out.append(seg)
         if self.cfg.opt5:
             self.absorb = seg
             self._absorb_line = segment_between(seg.start, seg.end)
@@ -269,8 +264,8 @@ class OperbEncoder:
 
         Only called by simplify() on a fresh encoder, so the running input
         index doubles as the list index. Keeps all per-point state in
-        locals, short-circuits points whose deviation cannot move the
-        running extremes, and falls back to the shared segment-boundary
+        locals, short-circuits inactive points whose deviation cannot move
+        the running extremes, and falls back to the shared segment-boundary
         helpers only when a point breaks; results are identical to push()
         called in a loop (pinned by tests), and each list index is read
         exactly once (the newest consumed point rides along in a local).
@@ -324,11 +319,7 @@ class OperbEncoder:
                     if not (last_t < pt < inf and ninf < px < inf and ninf < py < inf):
                         self._last = prevp
                         self._count = k
-                        if not (ninf < px < inf and ninf < py < inf and ninf < pt < inf):
-                            raise DataError(f"point {k}: non-finite coordinate")
-                        raise DataError(
-                            f"point {k}: timestamp {pt!r} not greater than {last_t!r}"
-                        )
+                        raise _point_error(k, p, last_t)
                     if ab_deg:
                         d_ab = hypot(px - ab_x, py - ab_y)
                     else:
@@ -385,18 +376,14 @@ class OperbEncoder:
                 if not (last_t < pt < inf and ninf < px < inf and ninf < py < inf):
                     self._store(la, cnt, dplus, dminus, lz, flen, fth, fcos,
                                 fsin, ralen, racos, rasin, prevp, k)
-                    if not (ninf < px < inf and ninf < py < inf and ninf < pt < inf):
-                        raise DataError(f"point {k}: non-finite coordinate")
-                    raise DataError(
-                        f"point {k}: timestamp {pt!r} not greater than {last_t!r}"
-                    )
+                    raise _point_error(k, p, last_t)
+                if cnt >= k_cap:
+                    breaker = p
+                    break
                 dx = px - ax
                 dy = py - ay
                 r_len = sqrt(dx * dx + dy * dy)
                 if flen == 0.0:
-                    if cnt >= k_cap:
-                        breaker = p
-                        break
                     if r_len <= thr0:
                         cnt += 1
                         last_t = pt
@@ -419,80 +406,53 @@ class OperbEncoder:
                     continue
                 d_signed = dx * fsin - dy * fcos
                 d = -d_signed if d_signed < 0.0 else d_signed
-                if d <= dmin_b:
-                    # Neither extreme moves, so the rotation sense is not
-                    # needed unless the point goes active.
-                    if cnt >= k_cap:
-                        breaker = p
-                        break
-                    gain = r_len - flen
-                    if gain <= quarter:
-                        if (ok_sum if opt2 else d <= half):
-                            d_ra = dx * rasin - dy * racos
-                            if d_ra < 0.0:
-                                d_ra = -d_ra
-                            if d_ra <= zeta:
-                                cnt += 1
-                                last_t = pt
-                                prevp = p
-                                continue
-                        breaker = p
-                        break
-                    if not (ok_sum if opt2 else d <= half):
-                        breaker = p
-                        break
-                    plus = dplus
-                    minus = dminus
-                else:
-                    prod = d_signed * (dx * fcos + dy * fsin)
-                    if prod < 0.0:
-                        fpos = True
-                    elif prod > 0.0:
-                        fpos = False
-                    else:
-                        fpos = sign_from_diff(norm(atan2(dy, dx)) - fth) > 0
-                    if fpos:
-                        plus = dplus if dplus > d else d
-                        minus = dminus
-                    else:
-                        plus = dplus
-                        minus = dminus if dminus > d else d
-                    ok_half = (plus + minus <= zeta) if opt2 else (d <= half)
-                    if cnt >= k_cap:
-                        breaker = p
-                        break
-                    gain = r_len - flen
-                    if gain <= quarter:
-                        if not ok_half:
-                            breaker = p
-                            break
+                gain = r_len - flen
+                if d <= dmin_b and gain <= quarter:
+                    # Neither extreme moves and the point cannot go active,
+                    # so the rotation sense is not needed.
+                    if (ok_sum if opt2 else d <= half):
                         d_ra = dx * rasin - dy * racos
                         if d_ra < 0.0:
                             d_ra = -d_ra
-                        if d_ra > zeta:
-                            breaker = p
-                            break
-                        cnt += 1
-                        dplus = plus
-                        dminus = minus
-                        dmin_b = dplus if dplus < dminus else dminus
-                        ok_sum = dplus + dminus <= zeta
-                        last_t = pt
-                        prevp = p
-                        continue
-                    if not ok_half:
+                        if d_ra <= zeta:
+                            cnt += 1
+                            last_t = pt
+                            prevp = p
+                            continue
+                    breaker = p
+                    break
+                prod = d_signed * (dx * fcos + dy * fsin)
+                if prod < 0.0:
+                    fpos = True
+                elif prod > 0.0:
+                    fpos = False
+                else:
+                    fpos = sign_from_diff(norm(atan2(dy, dx)) - fth) > 0
+                if fpos:
+                    plus = dplus if dplus > d else d
+                    minus = dminus
+                else:
+                    plus = dplus
+                    minus = dminus if dminus > d else d
+                if not ((plus + minus <= zeta) if opt2 else (d <= half)):
+                    breaker = p
+                    break
+                if gain <= quarter:
+                    d_ra = dx * rasin - dy * racos
+                    if d_ra < 0.0:
+                        d_ra = -d_ra
+                    if d_ra > zeta:
                         breaker = p
                         break
+                    cnt += 1
+                    dplus = plus
+                    dminus = minus
+                    dmin_b = dplus if dplus < dminus else dminus
+                    ok_sum = dplus + dminus <= zeta
+                    last_t = pt
+                    prevp = p
+                    continue
                 # Case (3): stretch to the new zone and rotate toward p.
-                # The d <= dmin_b path deferred the rotation sense to here.
-                if d <= dmin_b:
-                    prod = d_signed * (dx * fcos + dy * fsin)
-                    if prod < 0.0:
-                        fpos = True
-                    elif prod > 0.0:
-                        fpos = False
-                    else:
-                        fpos = sign_from_diff(norm(atan2(dy, dx)) - fth) > 0
                 j = zone(r_len, zeta)
                 jl = j * half
                 dplus = plus
@@ -547,12 +507,10 @@ class OperbEncoder:
     def push(self, p: Point) -> List[Segment]:
         if self._finished:
             raise ValueError("push after finish")
-        if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.t)):
-            raise DataError(f"point {self._count}: non-finite coordinate")
-        if p.t <= self._last.t:
-            raise DataError(
-                f"point {self._count}: timestamp {p.t!r} not greater than {self._last.t!r}"
-            )
+        x, y, t = p
+        last_t = self._last.t
+        if not (last_t < t < _INF and -_INF < x < _INF and -_INF < y < _INF):
+            raise _point_error(self._count, p, last_t)
         out: List[Segment] = []
 
         if self.absorb is not None:
@@ -566,8 +524,7 @@ class OperbEncoder:
             self._absorb_line = None
             self._dispatch(seg, out)
 
-        cls = _advance(self.fit, p, self.cfg, apply=True)
-        if cls is Classification.BREAK:
+        if not _advance(self.fit, p, self.cfg):
             self._break_at(p, out)
 
         self._last = p
@@ -590,10 +547,7 @@ class OperbEncoder:
             self._absorb_line = None
             seg.covered -= 1
             self._dispatch(seg, out)
-            connector = Segment(seg.end, self._last, 2)
-            if self.mode is Mode.OPERB:
-                out.append(connector)
-            self._dispatch(connector, out)
+            self._dispatch(Segment(seg.end, self._last, 2), out)
             closed_by_absorb = True
 
         if not closed_by_absorb:
@@ -617,8 +571,6 @@ class OperbEncoder:
                     Segment(p_e, self._last, 2),
                 ]
             for seg in segs:
-                if self.mode is Mode.OPERB:
-                    out.append(seg)
                 self._dispatch(seg, out)
 
         pb = self.pending

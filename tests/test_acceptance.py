@@ -21,9 +21,9 @@ from trajsimp.datagen import (
     gen_stepwise_adversarial,
     optimal_segments,
 )
-from trajsimp.fitting import FitConfig, FitState, fit_step
+from trajsimp.fitting import FitConfig
 from trajsimp.metrics import compute_stats, verify_error_bound
-from trajsimp.onepass import Mode, simplify
+from trajsimp.onepass import Mode, OperbEncoder, simplify
 
 ZETAS = (5.0, 20.0, 40.0, 100.0)
 
@@ -111,12 +111,14 @@ def test_criterion_03_angle_drift_bound():
     k = 100_000
     pts = gen_stepwise_adversarial(k, zeta=1.0)
     cfg = FitConfig(zeta=1.0, **ALL_OFF)
-    state = FitState(pts[0])
-    state = fit_step(state, pts[1], cfg)
-    theta_1 = state.fit_theta
+    enc = OperbEncoder(cfg, first=pts[0])
+    push = enc.push
+    # With opt5 off a break would return the closed segment at once.
+    assert push(pts[1]) == []
+    theta_1 = enc.fit.fit_theta
     for p in pts[2:]:
-        state = fit_step(state, p, cfg)
-    drift = abs(state.fit_theta - theta_1)
+        assert not push(p)
+    drift = abs(enc.fit.fit_theta - theta_1)
     expected = sum(math.asin(1.0 / i) / i for i in range(2, k + 1))
     assert drift <= 0.8123
     assert abs(drift - expected) <= 1e-6

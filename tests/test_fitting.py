@@ -1,4 +1,8 @@
-"""Incremental fit state: zones, classification, and the re-fit update."""
+"""Incremental fit state: zones, classification, and the re-fit update.
+
+Points are fed through ``OperbEncoder.push`` and the fit state is read back
+from ``enc.fit``; a break shows up as a closed segment returned by push,
+which needs opt5 off so the breaking point is not absorbed instead."""
 
 import math
 
@@ -6,17 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trajsimp.datagen import gen_stepwise_adversarial
-from trajsimp.fitting import (
-    K_CAP_LIMIT,
-    Classification,
-    FitConfig,
-    FitState,
-    classify,
-    first_active_threshold,
-    fit_step,
-    zone_index,
-)
-from trajsimp.geometry import Point
+from trajsimp.fitting import K_CAP_LIMIT, FitConfig, _sign_from_diff, zone_index
+from trajsimp.geometry import Point, norm_angle
+from trajsimp.onepass import OperbEncoder, Segment
 
 
 def cfg_with(zeta=4.0, **kw):
@@ -25,15 +21,15 @@ def cfg_with(zeta=4.0, **kw):
     return FitConfig(zeta=zeta, **base)
 
 
-def seeded_state(cfg):
+def seeded_encoder(cfg):
     """Anchor at the origin, first active point (2, 0): with zeta=4 the
     fitted line is (length 2, theta 0) sitting in zone 1."""
-    state = FitState(Point(0.0, 0.0, 0.0))
-    assert fit_step(state, Point(2.0, 0.0, 1.0), cfg) is state
-    assert state.fit_len == 2.0
-    assert state.fit_theta == 0.0
-    assert state.last_zone == 1
-    return state
+    enc = OperbEncoder(cfg, first=Point(0.0, 0.0, 0.0))
+    assert enc.push(Point(2.0, 0.0, 1.0)) == []
+    assert enc.fit.fit_len == 2.0
+    assert enc.fit.fit_theta == 0.0
+    assert enc.fit.last_zone == 1
+    return enc
 
 
 class TestFitConfig:
@@ -65,11 +61,6 @@ class TestFitConfig:
     def test_bad_parallel_tol(self):
         with pytest.raises(ValueError):
             FitConfig(zeta=1.0, parallel_tol=0.0)
-
-
-def test_first_active_threshold_toggles_on_opt1():
-    assert first_active_threshold(FitConfig(zeta=8.0, opt1=True)) == 8.0
-    assert first_active_threshold(FitConfig(zeta=8.0, opt1=False)) == 2.0
 
 
 class TestZoneIndex:
@@ -106,56 +97,37 @@ class TestZoneIndex:
 class TestClassify:
     def test_inactive_inside_first_active_radius(self):
         cfg = FitConfig(zeta=4.0)  # opt1 on: threshold is zeta itself
-        state = FitState(Point(0.0, 0.0))
-        assert classify(state, Point(2.0, 0.0, 1.0), cfg) is Classification.INACTIVE
-        cfg_off = cfg_with()
-        assert classify(state, Point(2.0, 0.0, 1.0), cfg_off) is Classification.ACTIVE
-
-    def test_classify_is_pure(self):
-        cfg = cfg_with()
-        state = seeded_state(cfg)
-        before = (
-            state.fit_len,
-            state.fit_theta,
-            state.points_in_segment,
-            state.d_plus_max,
-            state.d_minus_max,
-            state.last_zone,
-        )
-        classify(state, Point(4.0, 1.0, 2.0), cfg)
-        classify(state, Point(2.0, 3.0, 2.0), cfg)
-        after = (
-            state.fit_len,
-            state.fit_theta,
-            state.points_in_segment,
-            state.d_plus_max,
-            state.d_minus_max,
-            state.last_zone,
-        )
-        assert before == after
+        enc = OperbEncoder(cfg, first=Point(0.0, 0.0))
+        assert enc.push(Point(2.0, 0.0, 1.0)) == []
+        assert enc.fit.fit_len == 0.0 and enc.fit.points_in_segment == 1
+        enc = OperbEncoder(cfg_with(), first=Point(0.0, 0.0))
+        assert enc.push(Point(2.0, 0.0, 1.0)) == []
+        assert enc.fit.last_active == Point(2.0, 0.0, 1.0)
 
     def test_break_depends_on_opt2(self):
         # deviation 3 with zeta 4: the per-point test d <= zeta/2 fails,
         # the two-sided test d_plus + d_minus <= zeta does not
         p = Point(2.0, 3.0, 2.0)
-        state = seeded_state(cfg_with(opt2=False))
-        assert classify(state, p, cfg_with(opt2=False)) is Classification.BREAK
-        state = seeded_state(cfg_with(opt2=True))
-        assert classify(state, p, cfg_with(opt2=True)) is Classification.ACTIVE
+        enc = seeded_encoder(cfg_with(opt2=False, opt5=False))
+        assert len(enc.push(p)) == 1
+        enc = seeded_encoder(cfg_with(opt2=True, opt5=False))
+        assert enc.push(p) == []
+        assert enc.fit.last_active == p
 
     def test_k_cap_forces_break(self):
-        cfg = FitConfig(zeta=1.0, k_cap=1)
-        state = FitState(Point(0.0, 0.0))
-        fit_step(state, Point(0.1, 0.0, 1.0), cfg)
-        assert state.points_in_segment == 1
-        assert classify(state, Point(0.2, 0.0, 2.0), cfg) is Classification.BREAK
+        cfg = FitConfig(zeta=1.0, k_cap=1, opt5=False)
+        enc = OperbEncoder(cfg, first=Point(0.0, 0.0))
+        assert enc.push(Point(0.1, 0.0, 1.0)) == []
+        assert enc.fit.points_in_segment == 1
+        assert len(enc.push(Point(0.2, 0.0, 2.0))) == 1
 
 
 class TestFitStep:
     def test_first_active_point_snaps_to_radial_bearing(self):
         cfg = cfg_with()
-        state = FitState(Point(0.0, 0.0))
-        fit_step(state, Point(3.0, 3.0, 1.0), cfg)
+        enc = OperbEncoder(cfg, first=Point(0.0, 0.0))
+        enc.push(Point(3.0, 3.0, 1.0))
+        state = enc.fit
         r = math.hypot(3.0, 3.0)
         assert state.fit_theta == pytest.approx(math.pi / 4)
         assert state.last_zone == zone_index(r, 4.0)
@@ -166,8 +138,9 @@ class TestFitStep:
     def test_refit_rotates_by_scaled_arcsin(self):
         # opt3/opt4 off: theta steps by asin(d / (j*zeta/2)) / j
         cfg = cfg_with(opt3=False, opt4=False)
-        state = seeded_state(cfg)
-        fit_step(state, Point(4.0, 1.0, 2.0), cfg)
+        enc = seeded_encoder(cfg)
+        enc.push(Point(4.0, 1.0, 2.0))
+        state = enc.fit
         assert state.fit_len == 4.0
         assert state.last_zone == 2
         assert state.fit_theta == pytest.approx(0.12634012757103932, abs=1e-15)
@@ -175,8 +148,9 @@ class TestFitStep:
 
     def test_inactive_point_updates_extremes_only(self):
         cfg = cfg_with()
-        state = seeded_state(cfg)
-        fit_step(state, Point(2.5, 1.0, 2.0), cfg)
+        enc = seeded_encoder(cfg)
+        enc.push(Point(2.5, 1.0, 2.0))
+        state = enc.fit
         assert state.fit_len == 2.0 and state.fit_theta == 0.0
         assert state.points_in_segment == 2
         assert state.d_plus_max == pytest.approx(1.0)
@@ -189,30 +163,55 @@ class TestFitStep:
         # holds the step to the full-weight angle of the raw deviation
         for opt3, expect in ((True, 0.1001674211615598), (False, 0.0500837105807799)):
             cfg = cfg_with(opt3=opt3, opt4=False)
-            state = seeded_state(cfg)
-            fit_step(state, Point(2.5, 1.0, 2.0), cfg)
-            fit_step(state, Point(4.0, 0.4, 3.0), cfg)
-            assert state.fit_theta == pytest.approx(expect, abs=1e-15), opt3
+            enc = seeded_encoder(cfg)
+            enc.push(Point(2.5, 1.0, 2.0))
+            enc.push(Point(4.0, 0.4, 3.0))
+            assert enc.fit.fit_theta == pytest.approx(expect, abs=1e-15), opt3
 
     def test_opt4_scales_by_zones_skipped(self):
         # jump straight from zone 1 to zone 4: opt4 multiplies the step by 3
         cfg_on = cfg_with(opt3=False, opt4=True)
-        state = seeded_state(cfg_on)
-        fit_step(state, Point(8.0, 1.0, 2.0), cfg_on)
-        th_on = state.fit_theta
+        enc = seeded_encoder(cfg_on)
+        enc.push(Point(8.0, 1.0, 2.0))
+        th_on = enc.fit.fit_theta
         cfg_off = cfg_with(opt3=False, opt4=False)
-        state = seeded_state(cfg_off)
-        fit_step(state, Point(8.0, 1.0, 2.0), cfg_off)
-        assert state.last_zone == 4
-        assert th_on == pytest.approx(3.0 * state.fit_theta, rel=1e-12)
+        enc = seeded_encoder(cfg_off)
+        enc.push(Point(8.0, 1.0, 2.0))
+        assert enc.fit.last_zone == 4
+        assert th_on == pytest.approx(3.0 * enc.fit.fit_theta, rel=1e-12)
 
-    def test_breaking_point_raises_and_leaves_state_alone(self):
-        cfg = cfg_with(opt2=False)
-        state = seeded_state(cfg)
-        with pytest.raises(ValueError):
-            fit_step(state, Point(2.0, 3.0, 2.0), cfg)
-        assert state.points_in_segment == 1
-        assert state.fit_len == 2.0 and state.fit_theta == 0.0
+    def test_breaking_point_leaves_state_alone(self):
+        # the closed segment is the state as it stood before the breaking
+        # point, which then seeds the next segment
+        cfg = cfg_with(opt2=False, opt5=False)
+        enc = seeded_encoder(cfg)
+        p = Point(2.0, 3.0, 2.0)
+        assert enc.push(p) == [Segment(Point(0.0, 0.0, 0.0), Point(2.0, 0.0, 1.0), 2)]
+        assert enc.fit.anchor == Point(2.0, 0.0, 1.0)
+        assert enc.fit.last_active == p
+        assert enc.fit.points_in_segment == 1
+
+
+@given(
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+)
+def test_sign_from_diff_is_a_total_sign(t1, t2):
+    assert _sign_from_diff(norm_angle(t2) - norm_angle(t1)) in (1, -1)
+
+
+def test_sign_from_diff_interval_boundaries():
+    sf = _sign_from_diff
+    assert sf(0.0) == 1
+    assert sf(math.pi / 2) == 1
+    assert sf(math.pi / 2 + 1e-9) == -1
+    assert sf(math.pi) == 1
+    assert sf(3 * math.pi / 2 - 1e-9) == 1
+    assert sf(3 * math.pi / 2) == -1
+    assert sf(-math.pi / 2) == 1
+    assert sf(-math.pi / 2 + 1e-9) == -1
+    assert sf(-math.pi) == 1
+    assert sf(-3 * math.pi / 2) == 1
 
 
 def test_stepwise_spiral_structure():
@@ -224,16 +223,16 @@ def test_stepwise_spiral_structure():
     cfg = FitConfig(
         zeta=1.0, opt1=False, opt2=False, opt3=False, opt4=False, opt5=False
     )
-    state = FitState(traj[0])
-    fit_step(state, traj[1], cfg)
-    theta_1 = state.fit_theta
+    enc = OperbEncoder(cfg, first=traj[0])
+    assert enc.push(traj[1]) == []
+    theta_1 = enc.fit.fit_theta
     assert theta_1 == 0.0
-    assert state.last_zone == 1
+    assert enc.fit.last_zone == 1
     for i, p in enumerate(traj[2:], start=2):
-        assert classify(state, p, cfg) is Classification.ACTIVE, i
-        fit_step(state, p, cfg)
-        assert state.last_zone == i
-    drift = abs(state.fit_theta - theta_1)
+        assert enc.push(p) == [], i
+        assert enc.fit.last_active == p, i
+        assert enc.fit.last_zone == i
+    drift = abs(enc.fit.fit_theta - theta_1)
     closed = sum(math.asin(1.0 / i) / i for i in range(2, k + 1))
     # the generator's 1e-8 boundary inset shaves a hair off every step
     assert drift == pytest.approx(closed, abs=2e-8)

@@ -18,7 +18,6 @@ from trajsimp.geometry import (
     point_line_distance,
     project_equirectangular,
     segment_between,
-    sign_f,
 )
 
 coords = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
@@ -145,32 +144,6 @@ def test_included_angle_is_raw_difference():
     l2 = _ray(6.0)
     assert included_angle(l1, l2) == pytest.approx(5.75)
     assert included_angle(l2, l1) == pytest.approx(-5.75)
-
-
-@given(angles, angles)
-def test_sign_f_is_a_total_sign(t1, t2):
-    s = sign_f(_ray(norm_angle(t2)), _ray(norm_angle(t1)))
-    assert s in (1, -1)
-
-
-def test_sign_f_interval_boundaries():
-    def sf(a):
-        # realise the turn a = r.theta - l_prev.theta with both bearings
-        # kept inside [0, 2*pi)
-        if a >= 0.0:
-            return sign_f(_ray(a), _ray(0.0))
-        return sign_f(_ray(0.0), _ray(-a))
-
-    assert sf(0.0) == 1
-    assert sf(math.pi / 2) == 1
-    assert sf(math.pi / 2 + 1e-9) == -1
-    assert sf(math.pi) == 1
-    assert sf(3 * math.pi / 2 - 1e-9) == 1
-    assert sf(3 * math.pi / 2) == -1
-    assert sf(-math.pi / 2) == 1
-    assert sf(-math.pi / 2 + 1e-9) == -1
-    assert sf(-math.pi) == 1
-    assert sf(-3 * math.pi / 2) == 1
 
 
 def test_line_intersection_known_point():

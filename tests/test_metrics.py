@@ -11,10 +11,8 @@ from trajsimp.metrics import (
     BOUND_SLACK,
     CompressionStats,
     average_error,
-    compression_ratio,
     compute_stats,
     max_error,
-    patching_ratio,
     point_mapping,
     segment_histogram,
     verify_error_bound,
@@ -108,9 +106,9 @@ class TestCorpusStats:
     def test_compression_ratio(self):
         trajs = [TENT, [P(0, 0, 0), P(1, 0, 1)]]
         reps = [dp_simplify(TENT, 0.5), dp_simplify(trajs[1], 0.5)]
-        assert compression_ratio(reps, trajs) == pytest.approx(3 / 5)
+        assert compute_stats(reps, trajs).ratio == pytest.approx(3 / 5)
         with pytest.raises(ValueError):
-            compression_ratio([], [])
+            compute_stats([], [])
 
     def test_segment_histogram_merges_and_sorts(self):
         reps = [
@@ -124,7 +122,7 @@ class TestCorpusStats:
         stats = CompressionStats(10, 5, 0.5, 0.0, 0.0)
         assert stats.patching_ratio == 0.0
         stats = CompressionStats(10, 5, 0.5, 0.0, 0.0, anomalous=4, patched=3)
-        assert patching_ratio(stats) == pytest.approx(0.75)
+        assert stats.patching_ratio == pytest.approx(0.75)
 
     def test_compute_stats_aggregates_per_point(self):
         flat = [P(0, 0, 0), P(1, 0, 1)]

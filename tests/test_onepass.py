@@ -1,14 +1,15 @@
 """Streaming encoder: segment boundaries, absorption, patching, both modes."""
 
+import copy
 import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajsimp.datagen import gen_grid_route, gen_random_walk
+from trajsimp.datagen import SplitMix64, gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
-from trajsimp.fitting import FitConfig
+from trajsimp.fitting import K_CAP_LIMIT, FitConfig
 from trajsimp.geometry import Point
 from trajsimp.metrics import point_mapping, verify_error_bound
 from trajsimp.onepass import (
@@ -217,6 +218,29 @@ class TestEncoderContract:
         nan = [P(0, 0, 0), P(1, 0, 1), P(math.nan, 0, 2)]
         with pytest.raises(DataError, match="point 2: non-finite"):
             simplify(nan, FitConfig(zeta=1.0))
+        # a bad point anywhere reads the same through push() as in a batch
+        bad_values = (math.nan, math.inf, -math.inf, None)  # None: backwards t
+        for seed in range(40):
+            rng = SplitMix64(seed)
+            traj = gen_random_walk(60, seed)
+            k = rng.randint(1, len(traj) - 1)
+            field = rng.randint(0, 2)
+            bad = bad_values[rng.randint(0, 3)]
+            row = list(traj[k])
+            if bad is None:
+                row[2] = traj[k - 1].t - rng.randint(0, 1)
+            else:
+                row[field] = bad
+            traj[k] = P(*row)
+            cfg = FitConfig(zeta=8.0, opt5=bool(seed % 2))
+            with pytest.raises(DataError) as batch:
+                simplify(traj, cfg)
+            enc = OperbEncoder(cfg, first=traj[0])
+            with pytest.raises(DataError) as pushed:
+                for p in traj[1:]:
+                    enc.push(p)
+            assert str(batch.value) == str(pushed.value)
+            assert str(batch.value).startswith(f"point {k}: ")
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
@@ -260,11 +284,17 @@ def test_generator_input_streams_through_push():
     opt_combos(),
     st.sampled_from((2.0, 8.0, 25.0)),
     st.sampled_from((Mode.OPERB, Mode.OPERB_A)),
+    st.sampled_from((1, 2, 3, K_CAP_LIMIT)),
+    st.sampled_from((0.0, math.pi / 3, math.pi)),
 )
-def test_push_loop_equals_batch_loop(traj, opts, zeta, mode):
-    """The fused batch loop must be indistinguishable from push()."""
+def test_push_loop_equals_batch_loop(traj, opts, zeta, mode, k_cap, gamma_m):
+    """The fused batch loop must be indistinguishable from push(), down to
+    the smallest k_cap and at both ends of the gamma_m range."""
     o1, o2, o3, o4, o5 = opts
-    cfg = FitConfig(zeta=zeta, opt1=o1, opt2=o2, opt3=o3, opt4=o4, opt5=o5)
+    cfg = FitConfig(
+        zeta=zeta, k_cap=k_cap, gamma_m=gamma_m,
+        opt1=o1, opt2=o2, opt3=o3, opt4=o4, opt5=o5,
+    )
     batch = simplify(traj, cfg, mode)
     enc = OperbEncoder(cfg, mode, traj[0])
     segs = []
@@ -274,6 +304,33 @@ def test_push_loop_equals_batch_loop(traj, opts, zeta, mode):
     assert batch.segments == segs
     assert batch.anomalous_candidates == enc.n_anomalous
     assert batch.patches == enc.n_patched
+    ok, violations = verify_error_bound(batch, traj, zeta)
+    assert ok, violations
+
+
+@settings(max_examples=100)
+@given(
+    traj_strategy(),
+    opt_combos(),
+    st.sampled_from((2.0, 8.0, 25.0)),
+    st.sampled_from((Mode.OPERB, Mode.OPERB_A)),
+)
+def test_returned_segments_are_final(traj, opts, zeta, mode):
+    """A segment handed out by push() or finish() never changes afterwards."""
+    o1, o2, o3, o4, o5 = opts
+    cfg = FitConfig(zeta=zeta, opt1=o1, opt2=o2, opt3=o3, opt4=o4, opt5=o5)
+    enc = OperbEncoder(cfg, mode, traj[0])
+    returned = []
+    as_returned = []
+
+    def record(out):
+        returned.extend(out)
+        as_returned.extend(copy.copy(seg) for seg in out)
+
+    for p in traj[1:]:
+        record(enc.push(p))
+    record(enc.finish())
+    assert returned == as_returned
 
 
 @settings(max_examples=60)
