@@ -23,21 +23,21 @@ from trajsimp import (
     write_corpus,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="trajsimp-demo-"))
-corpus_path = workdir / "walk.csv"
-segments_path = workdir / "walk_segments.csv"
-
-# One jittery 5,000-point random walk, written and read back as CSV so
-# the check runs against exactly what a file consumer would see.
-write_corpus({"walk": gen_random_walk(5000, seed=7)}, str(corpus_path))
-traj = ingest_csv(str(corpus_path))["walk"]
-
 zeta = 20.0
-rep = simplify(traj, FitConfig(zeta=zeta))
-rep.traj_id = "walk"
-emit_segments(rep, str(segments_path))
-print(f"compressed {len(traj)} points to {len(rep.segments)} segments at zeta={zeta:g}")
-print(f"segments written to {segments_path}")
+with tempfile.TemporaryDirectory(prefix="trajsimp-demo-") as workdir:
+    corpus_path = Path(workdir) / "walk.csv"
+    segments_path = Path(workdir) / "walk_segments.csv"
+
+    # One jittery 5,000-point random walk, written and read back as CSV so
+    # the check runs against exactly what a file consumer would see.
+    write_corpus({"walk": gen_random_walk(5000, seed=7)}, str(corpus_path))
+    traj = ingest_csv(str(corpus_path))["walk"]
+
+    rep = simplify(traj, FitConfig(zeta=zeta))
+    rep.traj_id = "walk"
+    emit_segments(rep, str(segments_path))
+    print(f"compressed {len(traj)} points to {len(rep.segments)} segments at zeta={zeta:g}")
+    print(f"segments written to {segments_path.name} in a temporary directory")
 
 ok, violations = verify_error_bound(rep, traj, zeta)
 print(f"\nbound check at zeta={zeta:g}: {'ok' if ok else 'VIOLATED'}")
@@ -53,5 +53,5 @@ print(f"\nbound check at zeta={tight:g} (tighter than compression): {'ok' if ok 
 for idx, dist in violations[:5]:
     print(f"  point {idx}: {dist:.3f} > {tight:g}")
 print(f"  ... {len(violations)} points over the tighter bound in total")
-print("\nthe same check from the command line:")
-print(f"  trajsimp verify --input {corpus_path} --epsilon {zeta:g}")
+print("\nthe same check from the command line, on a corpus CSV such as walk.csv:")
+print(f"  trajsimp verify --input walk.csv --epsilon {zeta:g}")

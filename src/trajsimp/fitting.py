@@ -1,11 +1,13 @@
-"""Incremental line fitting for the one-pass encoder.
+"""Parameters and helpers of the one-pass line-fitting rule.
 
-A segment under construction is summarised by a fixed-size ``FitState``:
-the anchor, the fitted directed line L (length quantised to multiples of
-zeta/2), the radial segment R_a to the last active point, signed deviation
-extremes, and counters. Every incoming point is classified as Inactive
-(absorbed without touching L), Active (L is re-fitted), or Break (the
-current segment must be closed).
+This module holds no per-point code: the rule itself runs in
+``OperbEncoder._kernel`` (``onepass``). A segment under construction is
+summarised by the anchor, the fitted directed line L (length quantised to
+multiples of zeta/2), the radial segment R_a to the last active point,
+signed deviation extremes, and counters; ``FitState`` is a read-only
+snapshot of them. Every incoming point is classified as Inactive (absorbed
+without touching L), Active (L is re-fitted), or Break (the current
+segment must be closed).
 
 The five toggles on ``FitConfig``:
 
@@ -23,8 +25,9 @@ The five toggles on ``FitConfig``:
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .geometry import Point, norm_angle
+from .geometry import Point
 
 _HALF_PI = math.pi / 2.0
 _PI = math.pi
@@ -45,7 +48,6 @@ class FitConfig:
     opt4: bool = True
     opt5: bool = True
     gamma_m: float = math.pi / 3.0
-    parallel_tol: float = 1e-9
 
     def __post_init__(self):
         if not (math.isfinite(self.zeta) and self.zeta > 0.0):
@@ -54,8 +56,6 @@ class FitConfig:
             raise ValueError(f"k_cap must be in [1, {K_CAP_LIMIT}], got {self.k_cap}")
         if not (0.0 <= self.gamma_m <= math.pi):
             raise ValueError(f"gamma_m must be in [0, pi], got {self.gamma_m}")
-        if not (math.isfinite(self.parallel_tol) and self.parallel_tol > 0.0):
-            raise ValueError("parallel_tol must be finite and > 0")
 
 
 def zone_index(r_len: float, zeta: float) -> int:
@@ -73,56 +73,31 @@ def zone_index(r_len: float, zeta: float) -> int:
     return j if j > 0 else 0
 
 
-class FitState:
-    """Constant-size state of the segment under construction.
+class FitState(NamedTuple):
+    """Snapshot of the segment under construction, as ``OperbEncoder.fit``
+    returns it; the encoder's kernel keeps the live values in its locals.
 
     points_in_segment counts points consumed after the anchor, so it equals
     the index offset of the newest consumed point and stays <= k_cap.
 
     The fitted line and the radial segment to the last active point are
-    stored unpacked (length, theta, direction cosines) because the per-point
+    kept unpacked (length, theta, direction cosines) because the per-point
     deviation test is the hottest code in the package.
     """
 
-    __slots__ = (
-        "anchor",
-        "last_active",
-        "points_in_segment",
-        "d_plus_max",
-        "d_minus_max",
-        "last_zone",
-        "fit_len",
-        "fit_theta",
-        "fit_cos",
-        "fit_sin",
-        "ra_len",
-        "ra_cos",
-        "ra_sin",
-    )
-
-    def __init__(self, anchor: Point):
-        self.anchor = anchor
-        self.last_active = anchor
-        self.points_in_segment = 0
-        self.d_plus_max = 0.0
-        self.d_minus_max = 0.0
-        self.last_zone = 0
-        self.fit_len = 0.0
-        self.fit_theta = 0.0
-        self.fit_cos = 1.0
-        self.fit_sin = 0.0
-        self.ra_len = 0.0
-        self.ra_cos = 1.0
-        self.ra_sin = 0.0
-
-    def __repr__(self):
-        return (
-            f"FitState(anchor={self.anchor!r}, fit_len={self.fit_len}, "
-            f"fit_theta={self.fit_theta}, "
-            f"points_in_segment={self.points_in_segment}, "
-            f"d_plus_max={self.d_plus_max}, d_minus_max={self.d_minus_max}, "
-            f"last_zone={self.last_zone})"
-        )
+    anchor: Point
+    last_active: Point
+    points_in_segment: int
+    d_plus_max: float
+    d_minus_max: float
+    last_zone: int
+    fit_len: float
+    fit_theta: float
+    fit_cos: float
+    fit_sin: float
+    ra_len: float
+    ra_cos: float
+    ra_sin: float
 
 
 def _sign_from_diff(a: float) -> int:
@@ -144,110 +119,3 @@ def _sign_from_diff(a: float) -> int:
     if a <= -_3_HALF_PI:
         return 1
     return -1
-
-
-def _advance(state: FitState, p: Point, cfg: FitConfig) -> bool:
-    """Consume p into the segment under construction and return True, or
-    return False, leaving state untouched, when p breaks the segment."""
-    if state.points_in_segment >= cfg.k_cap:
-        return False
-    zeta = cfg.zeta
-    half = 0.5 * zeta
-    dx = p.x - state.anchor.x
-    dy = p.y - state.anchor.y
-    r_len = math.sqrt(dx * dx + dy * dy)
-    length = state.fit_len
-
-    if length == 0.0:
-        # No fitted line yet: every point inside the first-active radius is
-        # within zeta of any line through the anchor, so no distance test.
-        thr = zeta if cfg.opt1 else 0.25 * zeta
-        if r_len <= thr:
-            state.points_in_segment += 1
-            return True
-        # First active point: case (2), theta snaps to the radial bearing.
-        j = zone_index(r_len, zeta)
-        inv = 1.0 / r_len
-        state.fit_len = j * half
-        state.fit_theta = norm_angle(math.atan2(dy, dx))
-        state.fit_cos = dx * inv
-        state.fit_sin = dy * inv
-        state.ra_len = r_len
-        state.ra_cos = state.fit_cos
-        state.ra_sin = state.fit_sin
-        state.last_active = p
-        state.last_zone = j
-        state.points_in_segment += 1
-        return True
-
-    cos_l = state.fit_cos
-    sin_l = state.fit_sin
-    # Signed deviation from L: d_signed = -r*sin(theta_R - theta_L). Together
-    # with the projection dot = r*cos(theta_R - theta_L), the product
-    # d_signed*dot has the sign of -sin(2*(theta_R - theta_L))/2, which is
-    # negative or zero exactly on the quarter-turn intervals where the
-    # rotation sense is +1. A zero product is ambiguous (sin and cos repeat
-    # at a half-turn apart) and falls back to the raw angle difference.
-    d_signed = dx * sin_l - dy * cos_l
-    d = -d_signed if d_signed < 0.0 else d_signed
-    prod = d_signed * (dx * cos_l + dy * sin_l)
-    if prod < 0.0:
-        f = 1
-    elif prod > 0.0:
-        f = -1
-    else:
-        f = _sign_from_diff(norm_angle(math.atan2(dy, dx)) - state.fit_theta)
-
-    if f > 0:
-        plus = state.d_plus_max if state.d_plus_max > d else d
-        minus = state.d_minus_max
-    else:
-        plus = state.d_plus_max
-        minus = state.d_minus_max if state.d_minus_max > d else d
-    ok_half = (plus + minus <= zeta) if cfg.opt2 else (d <= half)
-    if not ok_half:
-        return False
-
-    gain = r_len - length
-    if gain <= 0.25 * zeta:
-        d_ra = dx * state.ra_sin - dy * state.ra_cos
-        if d_ra < 0.0:
-            d_ra = -d_ra
-        if d_ra > zeta:
-            return False
-        state.points_in_segment += 1
-        state.d_plus_max = plus
-        state.d_minus_max = minus
-        return True
-
-    # Case (3): stretch to the new zone and rotate toward the point.
-    j = zone_index(r_len, zeta)
-    jl = j * half
-    state.d_plus_max = plus
-    state.d_minus_max = minus
-    d_x = d
-    if cfg.opt3:
-        ex = plus if f > 0 else minus
-        u = d / jl
-        if u > 1.0:
-            u = 1.0
-        a_full = j * math.asin(u)
-        cap = jl if a_full >= _HALF_PI else jl * math.sin(a_full)
-        d_x = ex if ex < cap else cap
-    dj = (j - state.last_zone) if cfg.opt4 else 1
-    arg = d_x / jl
-    if arg > 1.0:
-        arg = 1.0
-    theta = norm_angle(state.fit_theta + f * math.asin(arg) * (dj / j))
-    inv = 1.0 / r_len
-    state.fit_len = jl
-    state.fit_theta = theta
-    state.fit_cos = math.cos(theta)
-    state.fit_sin = math.sin(theta)
-    state.ra_len = r_len
-    state.ra_cos = dx * inv
-    state.ra_sin = dy * inv
-    state.last_active = p
-    state.last_zone = j
-    state.points_in_segment += 1
-    return True

@@ -11,7 +11,7 @@ from math import pi
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .baselines import dp_simplify, fbqs_simplify, opw_simplify
-from .fitting import FitConfig
+from .fitting import K_CAP_LIMIT, FitConfig
 from .geometry import Point
 from .metrics import CompressionStats, compute_stats
 from .io import ingest_csv
@@ -38,7 +38,6 @@ class RunConfig:
     zeta_list: Tuple[float, ...] = (5.0, 20.0, 40.0, 100.0)
     gamma_m: float = pi / 3.0
     opts: Tuple[bool, bool, bool, bool, bool] = (True,) * 5
-    k_cap: int = 400_000
     geo: bool = False
 
     def __post_init__(self):
@@ -54,7 +53,6 @@ class RunConfig:
         o1, o2, o3, o4, o5 = self.opts
         return FitConfig(
             zeta=zeta,
-            k_cap=self.k_cap,
             opt1=o1,
             opt2=o2,
             opt3=o3,
@@ -118,7 +116,7 @@ def run_compare(cfg: RunConfig) -> dict:
             "zeta_list": list(cfg.zeta_list),
             "gamma_m": cfg.gamma_m,
             "opts": "".join("1" if o else "0" for o in cfg.opts),
-            "k_cap": cfg.k_cap,
+            "k_cap": K_CAP_LIMIT,
             "geo": cfg.geo,
         },
         "results": results,

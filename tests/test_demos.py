@@ -34,6 +34,7 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("trajsimp-demo-*")) == []
 
 
 def test_every_public_name_resolves():

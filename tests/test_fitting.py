@@ -58,10 +58,6 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(zeta=1.0, gamma_m=gm)
 
-    def test_bad_parallel_tol(self):
-        with pytest.raises(ValueError):
-            FitConfig(zeta=1.0, parallel_tol=0.0)
-
 
 class TestZoneIndex:
     def test_known_value(self):

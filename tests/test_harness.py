@@ -54,13 +54,11 @@ class TestRunConfig:
             input="x.csv",
             opts=(True, False, True, False, True),
             gamma_m=math.pi / 6,
-            k_cap=123,
         )
         fc = cfg.fit_config(7.5)
         assert fc.zeta == 7.5
         assert (fc.opt1, fc.opt2, fc.opt3, fc.opt4, fc.opt5) == cfg.opts
         assert fc.gamma_m == math.pi / 6
-        assert fc.k_cap == 123
 
 
 class TestCompressCorpus:

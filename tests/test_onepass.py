@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -247,6 +248,45 @@ class TestEncoderContract:
             simplify([], FitConfig(zeta=1.0))
         with pytest.raises(ValueError):
             simplify(iter(()), FitConfig(zeta=1.0))
+
+    def test_encoder_cannot_be_copied(self):
+        enc = OperbEncoder(FitConfig(zeta=1.0), first=P(0, 0, 0))
+        for dup in (copy.copy, copy.deepcopy, pickle.dumps):
+            with pytest.raises(TypeError, match="cannot be copied"):
+                dup(enc)
+
+    @pytest.mark.parametrize("mode", [Mode.OPERB, Mode.OPERB_A])
+    def test_encoder_survives_rejected_points(self, mode):
+        """Bad points leave the encoder as it was: the rest of the stream
+        gives the same output as a trajectory that never held them. Cuts
+        land both in a running fit and in an opt5 absorption."""
+        fields = (
+            "anchor", "last_active", "points_in_segment", "d_plus_max",
+            "d_minus_max", "last_zone", "fit_len", "fit_theta", "fit_cos",
+            "fit_sin", "ra_len", "ra_cos", "ra_sin",
+        )
+        traj = gen_random_walk(120, seed=11)
+        cfg = FitConfig(zeta=8.0)
+        expect = simplify(traj, cfg, mode).segments
+        for cut in range(1, len(traj), 7):
+            enc = OperbEncoder(cfg, mode, traj[0])
+            segs = []
+            for p in traj[1:cut]:
+                segs.extend(enc.push(p))
+            before = tuple(getattr(enc.fit, f) for f in fields)
+            last = traj[cut - 1]
+            with pytest.raises(DataError, match=f"point {cut}: non-finite"):
+                enc.push(P(math.nan, last.y, last.t + 0.5))
+            with pytest.raises(DataError, match=f"point {cut}: timestamp"):
+                enc.push(P(last.x, last.y, last.t))
+            for bad in ((last.x, last.y), None):
+                with pytest.raises((TypeError, ValueError)):
+                    enc.push(bad)
+            assert tuple(getattr(enc.fit, f) for f in fields) == before, cut
+            for p in traj[cut:]:
+                segs.extend(enc.push(p))
+            segs.extend(enc.finish())
+            assert segs == expect, cut
 
 
 class _CountingList(list):
