@@ -6,6 +6,10 @@ walk that maps original points back to segments credits each segment with
 shared sample was spent on the patch), and ``covered - 1`` otherwise.  The
 walk must consume exactly the input length; anything else means the
 representation lies about what it consumed and raises ``InvariantError``.
+
+Distances are measured to the infinite line through a segment, not to the
+finite segment body; a zero-length segment falls back to the distance to
+its start point.
 """
 
 import math

@@ -4,29 +4,26 @@
 as soon as they are determined. State is constant-size: the segment under
 construction, an optional just-closed segment still absorbing points
 (opt5), and in patching mode a lazy buffer of at most two unemitted
-segments. ``push`` and ``simplify`` drive the same kernel.
+segments. All of it lives in the locals of one generator,
+``OperbEncoder._kernel``, which ``push`` and ``simplify`` both drive; its
+local ``dispatch`` is the only route out for a finished segment.
 
-Patching mode (``Mode.OPERB_A``) holds a closed two-point segment back until
-its successor closes, then tries to replace the pair (predecessor, corner
-segment) with (predecessor extended to the line intersection G, successor
-re-anchored at G). Both replacement segments lie on the original lines, so
-the error bound is untouched while one segment is saved.
+Patching mode (``Mode.OPERB_A``) holds a closed two-point segment back in
+that buffer until its successor closes, then tries to replace the pair
+(predecessor, corner segment) with (predecessor extended to the line
+intersection G, successor re-anchored at G); ``try_patch`` finds G. Both
+replacement segments lie on the original lines, so the error bound is
+untouched while one segment is saved.
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import DataError
 from .fitting import FitConfig, FitState, _sign_from_diff, zone_index
-from .geometry import (
-    Point,
-    included_angle,
-    line_intersection,
-    norm_angle,
-    segment_between,
-)
+from .geometry import Point, norm_angle
 
 
 _INF = math.inf
@@ -58,15 +55,6 @@ class Segment:
 
 
 @dataclass
-class PendingBuffer:
-    """Lazy output buffer: a closed-but-unemitted predecessor, plus at most
-    one anomalous segment waiting for its successor. anom implies prev."""
-
-    prev: Optional[Segment] = None
-    anom: Optional[Segment] = None
-
-
-@dataclass
 class PiecewiseRepresentation:
     segments: List[Segment]
     traj_id: str = "0"
@@ -89,38 +77,54 @@ def _point_error(k: int, p: Point, last_t: float) -> DataError:
     return DataError(f"point {k}: timestamp {t!r} not greater than {last_t!r}")
 
 
+def _line(a: Point, b: Point) -> Tuple[float, float, float, float]:
+    """Length, bearing in [0, 2*pi) and direction cosines of the ray a->b.
+
+    The bearing of a zero vector is 0. cos and sin are taken of the folded
+    bearing, not of the raw atan2, so every caller sees the same last bit.
+    """
+    dx = b.x - a.x
+    dy = b.y - a.y
+    theta = 0.0 if dx == 0.0 and dy == 0.0 else norm_angle(math.atan2(dy, dx))
+    return math.hypot(dx, dy), theta, math.cos(theta), math.sin(theta)
+
+
 def try_patch(
     prev: Segment, anom: Segment, nxt: Segment, cfg: FitConfig
 ) -> Optional[Point]:
     """Patch point G for an anomalous segment between prev and nxt, or None.
 
-    G must sit forward of prev.start on prev's line, strictly behind
-    nxt.start on nxt's line, reach at least to zeta/2 short of prev's end,
-    and the turn between the two lines must be at least gamma_m away from
-    collinear. G's timestamp is the midpoint of the anomalous segment's
-    endpoint times.
+    G is where the infinite lines through prev and nxt cross. It must sit
+    forward of prev.start on prev's line, strictly behind nxt.start on
+    nxt's line, reach at least to zeta/2 short of prev's end, and the turn
+    between the two lines must be at least gamma_m away from collinear.
+    G's timestamp is the midpoint of the anomalous segment's endpoint times.
     """
-    l_prev = segment_between(prev.start, prev.end)
-    l_next = segment_between(nxt.start, nxt.end)
-    if l_prev.length == 0.0 or l_next.length == 0.0:
+    len1, th1, c1, s1 = _line(prev.start, prev.end)
+    len2, th2, c2, s2 = _line(nxt.start, nxt.end)
+    if len1 == 0.0 or len2 == 0.0:
         return None
-    g = line_intersection(l_prev, l_next)
-    if g is None:
+    # Near-parallel lines, coincident ones included, have no usable crossing.
+    if abs(math.sin(th1 - th2)) < 1e-9:
         return None
+    x1, y1 = prev.start.x, prev.start.y
+    x2, y2 = nxt.start.x, nxt.start.y
+    # Solve start1 + u*dir1 = start2 + v*dir2 for u via the cross-product form.
+    u = ((x2 - x1) * s2 - (y2 - y1) * c2) / (c1 * s2 - s1 * c2)
+    gx = x1 + u * c1
+    gy = y1 + u * s1
     # Directional membership: on the forward ray of prev, behind nxt.start.
-    fwd = (g.x - prev.start.x) * math.cos(l_prev.theta) + (
-        g.y - prev.start.y
-    ) * math.sin(l_prev.theta)
+    fwd = (gx - x1) * c1 + (gy - y1) * s1
     if fwd <= 0.0:
         return None
-    back = (nxt.start.x - g.x) * math.cos(l_next.theta) + (
-        nxt.start.y - g.y
-    ) * math.sin(l_next.theta)
+    back = (x2 - gx) * c2 + (y2 - gy) * s2
     if back <= 0.0:
         return None
-    if fwd < l_prev.length - 0.5 * cfg.zeta:
+    if fwd < len1 - 0.5 * cfg.zeta:
         return None
-    a = included_angle(l_prev, l_next)
+    # The raw difference of two bearings in [0, 2*pi) spans (-2*pi, 2*pi);
+    # the intervals below tell e.g. -pi/2 from +3*pi/2.
+    a = th2 - th1
     gm = cfg.gamma_m
     ok_turn = (
         (gm - math.pi <= a <= math.pi - gm)
@@ -129,7 +133,7 @@ def try_patch(
     )
     if not ok_turn:
         return None
-    return Point(g.x, g.y, 0.5 * (anom.start.t + anom.end.t))
+    return Point(gx, gy, 0.5 * (anom.start.t + anom.end.t))
 
 
 class OperbEncoder:
@@ -140,11 +144,13 @@ class OperbEncoder:
             raise ValueError("encoder needs the first point up front")
         mode = Mode(mode)  # accept "operb"/"operb-a" strings too
         x, y, t = first
-        if not (-_INF < t < _INF and -_INF < x < _INF and -_INF < y < _INF):
+        # "+ 0.0" turns away numbers that do not mix with floats (Decimal).
+        if not (
+            -_INF < t + 0.0 < _INF and -_INF < x + 0.0 < _INF and -_INF < y + 0.0 < _INF
+        ):
             raise _point_error(0, first, -_INF)
         self.cfg = cfg
         self.mode = mode
-        self.pending = PendingBuffer()
         self.n_anomalous = 0
         self.n_patched = 0
         self._error: Optional[Exception] = None
@@ -156,44 +162,6 @@ class OperbEncoder:
     def __reduce_ex__(self, protocol):
         # A copy would share the running kernel with the original.
         raise TypeError("an OperbEncoder cannot be copied or pickled")
-
-    # -- internal plumbing -------------------------------------------------
-
-    def _route(self, seg: Segment, out: List[Segment]) -> None:
-        """Lazy-buffer routing for patching mode; covered must be final."""
-        pb = self.pending
-        if pb.anom is not None:
-            g = try_patch(pb.prev, pb.anom, seg, self.cfg)
-            if g is not None:
-                out.append(
-                    Segment(pb.prev.start, g, pb.prev.covered, pb.prev.patched_start)
-                )
-                self.n_patched += 1
-                pb.prev = Segment(g, seg.end, seg.covered, True)
-                pb.anom = None
-                return
-            out.append(pb.prev)
-            out.append(pb.anom)
-            pb.prev = seg
-            pb.anom = None
-            return
-        if seg.covered == 2 and pb.prev is not None:
-            pb.anom = seg
-            return
-        if pb.prev is not None:
-            out.append(pb.prev)
-        pb.prev = seg
-
-    def _dispatch(self, seg: Segment, out: List[Segment]) -> None:
-        """Hand a segment whose covered count is final to the output path of
-        the current mode: straight out in plain mode, through the lazy
-        buffer in patching mode. Nothing else appends a closed segment."""
-        if seg.covered == 2:
-            self.n_anomalous += 1
-        if self.mode is Mode.OPERB:
-            out.append(seg)
-        else:
-            self._route(seg, out)
 
     def _kernel(self, first: Point):
         """The fit rule, applied once to each point.
@@ -209,7 +177,7 @@ class OperbEncoder:
         raises on bad input, because a generator that raises is dead.
         """
         cfg = self.cfg
-        dispatch = self._dispatch
+        patching = self.mode is Mode.OPERB_A
         zeta = cfg.zeta
         half = 0.5 * zeta
         quarter = 0.25 * zeta
@@ -231,6 +199,7 @@ class OperbEncoder:
         sign_from_diff = _sign_from_diff
         zone = zone_index
         norm = norm_angle
+        line = _line
 
         # The segment under construction: anchor, last active point, count
         # of points after the anchor, deviation extremes, the fitted line L
@@ -251,8 +220,39 @@ class OperbEncoder:
         k = 1
         # opt5: the just-closed segment still absorbing points, and its line.
         ab = None
-
+        # Patching mode's lazy buffer: a closed but unemitted predecessor,
+        # plus at most one anomalous segment waiting for its successor.
+        # anom implies prev.
+        prev = anom = None
         out = None
+
+        def dispatch(seg):
+            """The only route out for a segment whose covered count is
+            final: straight to out in plain mode, through the lazy buffer
+            in patching mode."""
+            nonlocal prev, anom
+            if seg.covered == 2:
+                self.n_anomalous += 1
+            if not patching:
+                out.append(seg)
+            elif anom is not None:
+                g = try_patch(prev, anom, seg, cfg)
+                if g is None:
+                    out.append(prev)
+                    out.append(anom)
+                    prev = seg
+                else:
+                    out.append(Segment(prev.start, g, prev.covered, prev.patched_start))
+                    self.n_patched += 1
+                    prev = Segment(g, seg.end, seg.covered, True)
+                anom = None
+            elif seg.covered == 2 and prev is not None:
+                anom = seg
+            else:
+                if prev is not None:
+                    out.append(prev)
+                prev = seg
+
         while True:
             pts = yield out
             if pts is None:
@@ -265,7 +265,12 @@ class OperbEncoder:
             for p in pts:
                 try:
                     px, py, pt = p
-                    if not (last_t < pt < inf and ninf < px < inf and ninf < py < inf):
+                    # "+ 0.0" turns away numbers that do not mix with floats.
+                    if not (
+                        last_t < pt + 0.0 < inf
+                        and ninf < px + 0.0 < inf
+                        and ninf < py + 0.0 < inf
+                    ):
                         raise _point_error(k, p, last_t)
                 except Exception as exc:
                     self._error = exc
@@ -287,7 +292,7 @@ class OperbEncoder:
                             break
                         # p fell off the closed segment's line and seeds the
                         # fresh fit.
-                        dispatch(ab, out)
+                        dispatch(ab)
                         ab = None
                     if cnt < k_cap:
                         dx = px - ax
@@ -395,6 +400,14 @@ class OperbEncoder:
                     # p breaks the segment: close it at the last active point
                     # and start a fresh fit there.
                     seg = Segment(anchor, la, 1 + cnt)
+                    if opt5:
+                        ab = seg
+                        ab_x = ax
+                        ab_y = ay
+                        ab_len, _, ab_cos, ab_sin = line(anchor, la)
+                        ab_deg = ab_len == 0.0
+                    else:
+                        dispatch(seg)
                     anchor = la
                     ax = la.x
                     ay = la.y
@@ -403,16 +416,6 @@ class OperbEncoder:
                     fcos = racos = 1.0
                     fsin = rasin = 0.0
                     ok_sum = True
-                    if opt5:
-                        line = segment_between(seg.start, seg.end)
-                        ab = seg
-                        ab_x = line.start.x
-                        ab_y = line.start.y
-                        ab_deg = line.length == 0.0
-                        ab_cos = cos(line.theta)
-                        ab_sin = sin(line.theta)
-                    else:
-                        dispatch(seg, out)
                 last_t = pt
                 lastp = p
                 k += 1
@@ -423,24 +426,23 @@ class OperbEncoder:
             # becomes the end of a two-point connector so the
             # representation still reaches the final input point.
             ab.covered -= 1
-            dispatch(ab, out)
-            dispatch(Segment(ab.end, lastp, 2), out)
+            dispatch(ab)
+            dispatch(Segment(ab.end, lastp, 2))
         elif la is lastp or flen == 0.0:
             # The stream ended on the anchor or on an active point, or no
             # point went active: everything sits within the first-active
             # radius, hence within zeta of any line through the anchor.
-            dispatch(Segment(anchor, lastp, 1 + cnt), out)
+            dispatch(Segment(anchor, lastp, 1 + cnt))
         else:
             # Trailing inactive points: close at the last active point
             # (the only line the break tests guarded) and bridge to the
             # final input point with a two-point connector.
-            dispatch(Segment(anchor, la, cnt), out)
-            dispatch(Segment(la, lastp, 2), out)
-        pb = self.pending
-        if pb.prev is not None:
-            out.append(pb.prev)
-        if pb.anom is not None:
-            out.append(pb.anom)
+            dispatch(Segment(anchor, la, cnt))
+            dispatch(Segment(la, lastp, 2))
+        if prev is not None:
+            out.append(prev)
+        if anom is not None:
+            out.append(anom)
         yield out
 
     # -- public API --------------------------------------------------------

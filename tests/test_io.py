@@ -1,14 +1,16 @@
 """CSV ingest/emit: schemas, row errors, and the numeric round trip."""
 
 import csv
+import hashlib
 import math
 
 import pytest
 
-from trajsimp.datagen import gen_random_walk
+from trajsimp.datagen import gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
 from trajsimp.fitting import FitConfig
 from trajsimp.geometry import M_PER_DEG_LAT, Point
+from trajsimp.harness import ALGORITHMS, compress_corpus
 from trajsimp.io import (
     INPUT_COLUMNS,
     OUTPUT_COLUMNS,
@@ -17,6 +19,9 @@ from trajsimp.io import (
     write_corpus,
 )
 from trajsimp.onepass import Mode, simplify
+
+# sha256 of the files written by test_emitted_bytes_match_the_pinned_digest.
+GOLDEN_SHA256 = "b48a20fe052c5d43d4cae293c65004afab8a230b264224041860285a1bb5a242"
 
 
 def write(tmp_path, text, name="in.csv"):
@@ -155,6 +160,23 @@ class TestEmit:
         emit_segments(rep, str(b))
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
+
+    def test_emitted_bytes_match_the_pinned_digest(self, tmp_path):
+        """Every algorithm's output file, byte for byte, as it was when the
+        digest was pinned. A change that moves a single emitted digit fails
+        here; update the digest only for an intended change of output."""
+        corpus = {f"walk-{s}": gen_random_walk(500, s) for s in range(4)}
+        corpus.update(
+            {f"route-{s}": gen_grid_route(500, s, step=20.0) for s in range(4)}
+        )
+        digest = hashlib.sha256()
+        out = tmp_path / "segs.csv"
+        for algo in sorted(ALGORITHMS):
+            for zeta in (10.0, 40.0):
+                reps = compress_corpus(corpus, algo, FitConfig(zeta=zeta))
+                emit_segments(reps.values(), str(out))
+                digest.update(out.read_bytes())
+        assert digest.hexdigest() == GOLDEN_SHA256
 
     def test_input_columns_constant(self):
         assert INPUT_COLUMNS == ("traj_id", "t", "x", "y")

@@ -4,9 +4,10 @@ import copy
 import math
 import pickle
 from collections import Counter
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trajsimp.datagen import SplitMix64, gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
@@ -150,6 +151,11 @@ class TestTryPatch:
     def test_parallel_lines_cannot_patch(self):
         nxt = Segment(P(5, 1, 5), P(9, 1, 8), 3)
         assert try_patch(self.prev, self.anom, nxt, self.cfg) is None
+        # antiparallel too: gamma_m = 0 lets a half turn through the turn
+        # test, so only the parallel rule rejects this pair
+        back = Segment(P(5, 1, 5), P(1, 1, 8), 3)
+        cfg = FitConfig(zeta=1.0, gamma_m=0.0)
+        assert try_patch(self.prev, self.anom, back, cfg) is None
 
     def test_intersection_behind_next_start(self):
         nxt = Segment(P(5, -1, 5), P(5, 4, 8), 3)
@@ -173,6 +179,55 @@ class TestTryPatch:
         nxt = Segment(P(5, 1, 5), P(5, 4, 8), 3)
         degenerate = Segment(P(0, 0, 0), P(0, 0, 1), 2)
         assert try_patch(degenerate, self.anom, nxt, self.cfg) is None
+
+
+def _along_and_off(g, seg):
+    """Signed offset of g along seg's line from seg.start, and g's
+    distance to that infinite line."""
+    dx, dy = seg.end.x - seg.start.x, seg.end.y - seg.start.y
+    n = math.hypot(dx, dy)
+    gx, gy = g.x - seg.start.x, g.y - seg.start.y
+    return (dx * gx + dy * gy) / n, abs(dx * gy - dy * gx) / n
+
+
+coords = st.floats(min_value=-1000.0, max_value=1000.0)
+# Whole degrees hit exact (anti)parallel pairs as well as the turns between.
+bearings = st.integers(min_value=0, max_value=359).map(math.radians)
+reaches = st.integers(min_value=-40, max_value=40).map(float)
+
+
+@settings(max_examples=300)
+@given(
+    coords, coords, bearings, bearings, reaches, reaches, reaches,
+    st.floats(min_value=0.1, max_value=200.0),
+    st.sampled_from((10.0, 40.0)), st.sampled_from((0.0, math.pi / 3)),
+)
+# the crossing lies behind the start of a prev shorter than zeta/2
+@example(0.0, 0.0, 0.0, math.pi / 2, 4.0, -6.0, 5.0, 10.0, 40.0, 0.0)
+def test_patch_point_lies_on_both_lines(gx, gy, th1, th2, a, b, c, d, zeta, gm):
+    """Lines built to cross near (gx, gy): prev ends a reach b short of the
+    crossing and starts a further a back, nxt starts c past it. Whenever
+    try_patch returns G, G sits on both lines, forward of prev.start,
+    behind nxt.start and no more than zeta/2 short of prev's end."""
+    c1, s1, c2, s2 = math.cos(th1), math.sin(th1), math.cos(th2), math.sin(th2)
+    p_end = P(gx - b * c1, gy - b * s1, 1.0)
+    prev = Segment(P(p_end.x - a * c1, p_end.y - a * s1, 0.0), p_end, 3)
+    n_start = P(gx + c * c2, gy + c * s2, 2.0)
+    nxt = Segment(n_start, P(n_start.x + d * c2, n_start.y + d * s2, 3.0), 3)
+    anom = Segment(p_end, n_start, 2)
+    g = try_patch(prev, anom, nxt, FitConfig(zeta=zeta, gamma_m=gm))
+    if g is None:
+        return
+    scale = max(1.0, abs(g.x), abs(g.y))
+    along_prev, off_prev = _along_and_off(g, prev)
+    along_next, off_next = _along_and_off(g, nxt)
+    prev_len = math.hypot(prev.end.x - prev.start.x, prev.end.y - prev.start.y)
+    assert off_prev <= 1e-6 * scale
+    assert off_next <= 1e-6 * scale
+    assert along_prev > -1e-6 * scale
+    assert along_next < 1e-6 * scale
+    assert along_prev >= prev_len - 0.5 * zeta - 1e-6 * scale
+    assert g.t == 1.5
 
 
 class TestEncoderContract:
@@ -268,6 +323,10 @@ class TestEncoderContract:
         traj = gen_random_walk(120, seed=11)
         cfg = FitConfig(zeta=8.0)
         expect = simplify(traj, cfg, mode).segments
+        # Decimal passes the finite-and-increasing comparisons but does not
+        # mix with float arithmetic.
+        with pytest.raises(TypeError):
+            OperbEncoder(cfg, mode, P(Decimal(0), 0.0, 0.0))
         for cut in range(1, len(traj), 7):
             enc = OperbEncoder(cfg, mode, traj[0])
             segs = []
@@ -279,9 +338,14 @@ class TestEncoderContract:
                 enc.push(P(math.nan, last.y, last.t + 0.5))
             with pytest.raises(DataError, match=f"point {cut}: timestamp"):
                 enc.push(P(last.x, last.y, last.t))
-            for bad in ((last.x, last.y), None):
+            decimal_x = P(Decimal(3), last.y, last.t + 0.5)
+            decimal_t = P(last.x, last.y, Decimal(last.t + 0.5))
+            for bad in ((last.x, last.y), None, decimal_x, decimal_t):
                 with pytest.raises((TypeError, ValueError)):
                     enc.push(bad)
+            for bad in (decimal_x, decimal_t):
+                with pytest.raises(TypeError):
+                    simplify(traj[:cut] + [bad], cfg, mode)
             assert tuple(getattr(enc.fit, f) for f in fields) == before, cut
             for p in traj[cut:]:
                 segs.extend(enc.push(p))
