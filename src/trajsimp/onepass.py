@@ -281,7 +281,7 @@ class OperbEncoder:
                 # (opt5) or places it in the fresh fit, which always takes it.
                 while True:
                     if ab is not None:
-                        if ab_deg:
+                        if ab_len == 0.0:
                             d_ab = hypot(px - ab_x, py - ab_y)
                         else:
                             d_ab = (px - ab_x) * ab_sin - (py - ab_y) * ab_cos
@@ -405,7 +405,6 @@ class OperbEncoder:
                         ab_x = ax
                         ab_y = ay
                         ab_len, _, ab_cos, ab_sin = line(anchor, la)
-                        ab_deg = ab_len == 0.0
                     else:
                         dispatch(seg)
                     anchor = la
