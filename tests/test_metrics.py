@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from trajsimp.baselines import dp_simplify
 from trajsimp.errors import InvariantError
@@ -67,12 +68,85 @@ class TestErrors:
         rep = rep_of(Segment(P(0, 0, 0), P(0, 0, 0), 2))
         assert max_error(rep, traj) == pytest.approx(5.0)
 
+    def test_zero_length_segment_off_the_origin(self):
+        traj = [P(1, 1, 0), P(4, 5, 1)]
+        rep = rep_of(Segment(P(1, 1, 0), P(1, 1, 0), 2))
+        assert max_error(rep, traj) == pytest.approx(5.0)
+
+    def test_distance_to_an_oblique_line(self):
+        traj = [P(0, 0, 0), P(0, 5, 1), P(3, 4, 2)]
+        rep = rep_of(Segment(traj[0], traj[2], 3))
+        assert max_error(rep, traj) == pytest.approx(3.0)
+
+    def test_distance_is_to_the_line_not_the_segment(self):
+        # the foot of the perpendicular lies beyond the segment end
+        traj = [P(0, 0, 0), P(10, 2, 1), P(1, 0, 2)]
+        rep = rep_of(Segment(traj[0], traj[2], 3))
+        assert max_error(rep, traj) == pytest.approx(2.0)
+
     def test_empty_trajectory_raises(self):
         rep = rep_of(Segment(P(0, 0), P(1, 0), 2))
         with pytest.raises(ValueError):
             average_error(rep, [])
         with pytest.raises(ValueError):
             max_error(rep, [])
+
+
+coords = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
+angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+seg_lengths = st.floats(min_value=1.0, max_value=1000.0, allow_nan=False)
+
+
+def _probe_distance(a, b, p):
+    """Distance max_error measures from p to the line through a and b; a
+    and b themselves lie on that line exactly."""
+    return max_error(rep_of(Segment(a, b, 3)), [a, p, b])
+
+
+def _polar_ends(ax, ay, theta, length):
+    """Start and end of a segment given in polar form."""
+    end = P(ax + length * math.cos(theta), ay + length * math.sin(theta), 2.0)
+    return P(ax, ay, 0.0), end
+
+
+@given(coords, coords, angles, seg_lengths, coords, coords)
+def test_distance_matches_a_search_oracle(ax, ay, theta, length, px, py):
+    """Agrees with a ternary search for the closest point on the line."""
+    a, b = _polar_ends(ax, ay, theta, length)
+    d = _probe_distance(a, b, P(px, py, 1.0))
+
+    def dist_at(t):
+        return math.hypot(px - (ax + t * (b.x - ax)), py - (ay + t * (b.y - ay)))
+
+    # window wide enough to contain the perpendicular foot
+    reach = math.hypot(px - ax, py - ay) / math.hypot(b.x - ax, b.y - ay) + 1.0
+    lo, hi = -reach, reach
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if dist_at(m1) < dist_at(m2):
+            hi = m2
+        else:
+            lo = m1
+    assert d == pytest.approx(dist_at(0.5 * (lo + hi)), rel=1e-9, abs=1e-9)
+
+
+@given(coords, coords, angles, seg_lengths, coords, coords, angles, coords, coords)
+def test_distance_is_rigid_motion_invariant(
+    ax, ay, theta, length, px, py, rot, tx, ty
+):
+    a, b = _polar_ends(ax, ay, theta, length)
+    p = P(px, py, 1.0)
+    d0 = _probe_distance(a, b, p)
+
+    c, s = math.cos(rot), math.sin(rot)
+
+    def move(q):
+        return P(q.x * c - q.y * s + tx, q.x * s + q.y * c + ty, q.t)
+
+    d1 = _probe_distance(move(a), move(b), move(p))
+    scale = max(1.0, d0, math.hypot(px - ax, py - ay))
+    assert abs(d0 - d1) <= 1e-8 * scale
 
 
 class TestVerifyErrorBound:

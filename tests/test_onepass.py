@@ -12,13 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 from trajsimp.datagen import SplitMix64, gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
 from trajsimp.fitting import K_CAP_LIMIT, FitConfig
-from trajsimp.geometry import Point
+from trajsimp.geometry import TWO_PI, Point
 from trajsimp.metrics import point_mapping, verify_error_bound
 from trajsimp.onepass import (
     Mode,
     OperbEncoder,
     PiecewiseRepresentation,
     Segment,
+    _line,
     simplify,
     try_patch,
 )
@@ -180,6 +181,44 @@ class TestTryPatch:
         degenerate = Segment(P(0, 0, 0), P(0, 0, 1), 2)
         assert try_patch(degenerate, self.anom, nxt, self.cfg) is None
 
+    def test_zero_length_next_segment(self):
+        # the lines through prev and a zero-bearing nxt would cross at (5, 5)
+        # and pass every other rule; a zero-length nxt has no line at all
+        prev = Segment(P(0, 0, 0), P(4, 4, 4), 3)
+        anom = Segment(P(4, 4, 4), P(6, 5, 5), 2)
+        nxt = Segment(P(6, 5, 5), P(6, 5, 6), 2)
+        assert try_patch(prev, anom, nxt, self.cfg) is None
+
+    def test_oblique_patch_point(self):
+        prev = Segment(P(0, 0, 0), P(3, 0, 3), 3)
+        anom = Segment(P(3, 0, 3), P(5, 2, 4), 2)
+        nxt = Segment(P(5, 2, 4), P(7, 6, 6), 3)
+        g = try_patch(prev, anom, nxt, self.cfg)
+        assert g is not None
+        assert g.x == pytest.approx(4.0)
+        assert g.y == pytest.approx(0.0, abs=1e-12)
+        assert g.t == 3.5
+
+    @pytest.mark.parametrize("th1, th2", [(0.25, 6.0), (6.0, 0.25)])
+    def test_turn_reads_the_raw_bearing_difference(self, th1, th2):
+        # bearings 0.25 and 6.0 differ by 5.75 raw, a turn of 2*pi - 5.75
+        # (about 0.533 rad), so the pair patches while gamma_m <= pi - 0.533
+        prev, anom, nxt = _pair_crossing_at(0.0, 0.0, th1, th2, 5.0, 1.0, 1.0, 5.0)
+        assert try_patch(prev, anom, nxt, FitConfig(zeta=1.0, gamma_m=2.6))
+        assert try_patch(prev, anom, nxt, FitConfig(zeta=1.0, gamma_m=2.7)) is None
+
+
+def _pair_crossing_at(gx, gy, th1, th2, a, b, c, d):
+    """(prev, anom, nxt) on lines with bearings th1 and th2 through (gx, gy):
+    prev ends a reach b short of the crossing and starts a further a back,
+    nxt starts c past it and runs on for d."""
+    c1, s1, c2, s2 = math.cos(th1), math.sin(th1), math.cos(th2), math.sin(th2)
+    p_end = P(gx - b * c1, gy - b * s1, 1.0)
+    prev = Segment(P(p_end.x - a * c1, p_end.y - a * s1, 0.0), p_end, 3)
+    n_start = P(gx + c * c2, gy + c * s2, 2.0)
+    nxt = Segment(n_start, P(n_start.x + d * c2, n_start.y + d * s2, 3.0), 3)
+    return prev, Segment(p_end, n_start, 2), nxt
+
 
 def _along_and_off(g, seg):
     """Signed offset of g along seg's line from seg.start, and g's
@@ -205,16 +244,10 @@ reaches = st.integers(min_value=-40, max_value=40).map(float)
 # the crossing lies behind the start of a prev shorter than zeta/2
 @example(0.0, 0.0, 0.0, math.pi / 2, 4.0, -6.0, 5.0, 10.0, 40.0, 0.0)
 def test_patch_point_lies_on_both_lines(gx, gy, th1, th2, a, b, c, d, zeta, gm):
-    """Lines built to cross near (gx, gy): prev ends a reach b short of the
-    crossing and starts a further a back, nxt starts c past it. Whenever
-    try_patch returns G, G sits on both lines, forward of prev.start,
-    behind nxt.start and no more than zeta/2 short of prev's end."""
-    c1, s1, c2, s2 = math.cos(th1), math.sin(th1), math.cos(th2), math.sin(th2)
-    p_end = P(gx - b * c1, gy - b * s1, 1.0)
-    prev = Segment(P(p_end.x - a * c1, p_end.y - a * s1, 0.0), p_end, 3)
-    n_start = P(gx + c * c2, gy + c * s2, 2.0)
-    nxt = Segment(n_start, P(n_start.x + d * c2, n_start.y + d * s2, 3.0), 3)
-    anom = Segment(p_end, n_start, 2)
+    """Lines built to cross near (gx, gy). Whenever try_patch returns G, G
+    sits on both lines, forward of prev.start, behind nxt.start and no more
+    than zeta/2 short of prev's end."""
+    prev, anom, nxt = _pair_crossing_at(gx, gy, th1, th2, a, b, c, d)
     g = try_patch(prev, anom, nxt, FitConfig(zeta=zeta, gamma_m=gm))
     if g is None:
         return
@@ -228,6 +261,42 @@ def test_patch_point_lies_on_both_lines(gx, gy, th1, th2, a, b, c, d, zeta, gm):
     assert along_next < 1e-6 * scale
     assert along_prev >= prev_len - 0.5 * zeta - 1e-6 * scale
     assert g.t == 1.5
+
+
+class TestLine:
+    def test_bearing_of_basic_directions(self):
+        a = P(0.0, 0.0)
+        assert _line(a, P(1.0, 0.0))[1] == 0.0
+        assert _line(a, P(0.0, 2.0))[1] == pytest.approx(math.pi / 2)
+        assert _line(a, P(-3.0, 0.0))[1] == pytest.approx(math.pi)
+        assert _line(a, P(0.0, -1.0))[1] == pytest.approx(3 * math.pi / 2)
+
+    def test_coincident_points_have_bearing_zero(self):
+        p = P(2.5, -1.0)
+        assert _line(p, p) == (0.0, 0.0, 1.0, 0.0)
+
+    def test_length_bearing_and_direction(self):
+        length, theta, c, s = _line(P(1.0, 1.0), P(4.0, 5.0))
+        assert length == pytest.approx(5.0)
+        assert theta == pytest.approx(math.atan2(4.0, 3.0))
+        assert c == pytest.approx(0.6)
+        assert s == pytest.approx(0.8)
+
+    @given(coords, coords, coords, coords)
+    def test_polar_form_reaches_the_end(self, ax, ay, bx, by):
+        length, _, c, s = _line(P(ax, ay), P(bx, by))
+        scale = max(1.0, abs(ax), abs(ay), abs(bx), abs(by))
+        assert abs(ax + length * c - bx) <= 1e-12 * scale
+        assert abs(ay + length * s - by) <= 1e-12 * scale
+
+    @given(coords, coords, coords, coords)
+    def test_direction_is_taken_of_the_folded_bearing(self, ax, ay, bx, by):
+        length, theta, c, s = _line(P(ax, ay), P(bx, by))
+        assert 0.0 <= theta < TWO_PI
+        assert length == math.hypot(bx - ax, by - ay)
+        # bit for bit: cos(theta) and cos(atan2(...)) can differ in the last
+        # bit, and try_patch and the opt5 set-up must agree on it
+        assert (c, s) == (math.cos(theta), math.sin(theta))
 
 
 class TestEncoderContract:
