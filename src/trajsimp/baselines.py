@@ -14,23 +14,20 @@ from .geometry import Point
 from .onepass import PiecewiseRepresentation, Segment
 
 
-def _as_arrays(pts: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
-    xs = np.fromiter((p.x for p in pts), dtype=np.float64, count=len(pts))
-    ys = np.fromiter((p.y for p in pts), dtype=np.float64, count=len(pts))
-    return xs, ys
+def _points(traj: Sequence[Point], zeta: float) -> List[Point]:
+    """traj as a list; a single point leaves every loop as one (p0, p0)."""
+    if zeta <= 0.0:
+        raise ValueError("zeta must be > 0")
+    pts = list(traj)
+    if not pts:
+        raise ValueError("need at least one point")
+    return pts
 
 
 def _finalize(pts: Sequence[Point], bounds: List[Tuple[int, int]]) -> PiecewiseRepresentation:
     segs = [Segment(pts[i], pts[j], j - i + 1) for i, j in bounds]
-    rep = PiecewiseRepresentation(segs)
-    rep.anomalous_candidates = sum(1 for s in segs if s.covered == 2)
-    return rep
-
-
-def _degenerate(pts: Sequence[Point]) -> PiecewiseRepresentation:
-    if not pts:
-        raise ValueError("need at least one point")
-    return PiecewiseRepresentation([Segment(pts[0], pts[-1], len(pts))])
+    anomalous = sum(1 for s in segs if s.covered == 2)
+    return PiecewiseRepresentation(segs, anomalous_candidates=anomalous)
 
 
 def _span_distances(
@@ -60,16 +57,11 @@ def dp_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     execution model. A chord of zero length (identical endpoints) falls
     back to radial distances from the shared point.
     """
-    if zeta <= 0.0:
-        raise ValueError("zeta must be > 0")
-    pts = list(traj)
-    n = len(pts)
-    if n < 2:
-        return _degenerate(pts)
+    pts = _points(traj, zeta)
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
     bounds: List[Tuple[int, int]] = []
-    stack = [(0, n - 1)]
+    stack = [(0, len(pts) - 1)]
     while stack:
         i, j = stack.pop()
         if j - i < 2:
@@ -111,13 +103,10 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     """Open-window: grow [P_s..P_k] while every window point stays within
     zeta of line(P_s, P_k); on violation emit line(P_s, P_{k-1}) and restart
     the window at P_{k-1} (P_k is re-examined there)."""
-    if zeta <= 0.0:
-        raise ValueError("zeta must be > 0")
-    pts = list(traj)
+    pts = _points(traj, zeta)
     n = len(pts)
-    if n < 2:
-        return _degenerate(pts)
-    xs, ys = _as_arrays(pts)
+    xs = np.fromiter((p.x for p in pts), dtype=np.float64, count=n)
+    ys = np.fromiter((p.y for p in pts), dtype=np.float64, count=n)
     bounds: List[Tuple[int, int]] = []
     s = 0
     for k in range(1, n):
@@ -239,28 +228,19 @@ def fbqs_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation
     hull certificate keeps every buffered point within zeta of
     line(P_s, P_k); any indeterminate or exceeded bound emits and restarts
     at P_{k-1}."""
-    if zeta <= 0.0:
-        raise ValueError("zeta must be > 0")
-    pts = list(traj)
+    pts = _points(traj, zeta)
     n = len(pts)
-    if n < 2:
-        return _degenerate(pts)
     bounds: List[Tuple[int, int]] = []
     s = 0
+    anchor = pts[0]
     hull = HullState()
-    k = 1
-    while k < n:
-        anchor = pts[s]
-        upper = hull.max_distance_to(pts[k].x - anchor.x, pts[k].y - anchor.y)
-        if upper <= zeta:
-            hull.add(pts[k].x - anchor.x, pts[k].y - anchor.y)
-            k += 1
-            continue
-        bounds.append((s, k - 1))
-        s = k - 1
-        hull = HullState()
-        anchor = pts[s]
-        hull.add(pts[k].x - anchor.x, pts[k].y - anchor.y)
-        k += 1
+    for k in range(1, n):
+        p = pts[k]
+        if not hull.max_distance_to(p.x - anchor.x, p.y - anchor.y) <= zeta:
+            bounds.append((s, k - 1))
+            s = k - 1
+            anchor = pts[s]
+            hull = HullState()
+        hull.add(p.x - anchor.x, p.y - anchor.y)
     bounds.append((s, n - 1))
     return _finalize(pts, bounds)

@@ -4,7 +4,6 @@ All randomness flows through SplitMix64 so corpora are reproducible across
 platforms and Python versions; nothing here touches the stdlib RNG.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -13,6 +12,7 @@ from typing import List
 import numpy as np
 
 from .geometry import Point
+from .io import ingest_csv
 
 _MASK64 = (1 << 64) - 1
 
@@ -160,11 +160,7 @@ def figure_fixture(name: str) -> List[Point]:
     if name not in ("route", "corner"):
         raise ValueError("name must be 'route' or 'corner'")
     path = resources.files("trajsimp").joinpath(f"data/figure_{name}.csv")
-    pts = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            pts.append(Point(float(row["x"]), float(row["y"]), float(row["t"])))
-    return pts
+    return ingest_csv(str(path))[name]
 
 
 def generate(spec: GenSpec) -> List[Point]:

@@ -82,7 +82,8 @@ class FitState(NamedTuple):
 
     The fitted line and the radial segment to the last active point are
     kept unpacked (length, theta, direction cosines) because the per-point
-    deviation test is the hottest code in the package.
+    deviation test is the hottest code in the package; ra_len, which no
+    per-point test reads, is derived from the anchor at snapshot time.
     """
 
     anchor: Point

@@ -77,6 +77,15 @@ def _point_error(k: int, p: Point, last_t: float) -> DataError:
     return DataError(f"point {k}: timestamp {t!r} not greater than {last_t!r}")
 
 
+def _refused(k: int, exc: Exception) -> DataError:
+    """exc if it is a DataError, else one for point k with exc as cause."""
+    if isinstance(exc, DataError):
+        return exc
+    err = DataError(f"point {k}: {exc}")
+    err.__cause__ = exc
+    return err
+
+
 def _line(a: Point, b: Point) -> Tuple[float, float, float, float]:
     """Length, bearing in [0, 2*pi) and direction cosines of the ray a->b.
 
@@ -143,17 +152,19 @@ class OperbEncoder:
         if first is None:
             raise ValueError("encoder needs the first point up front")
         mode = Mode(mode)  # accept "operb"/"operb-a" strings too
-        x, y, t = first
-        # "+ 0.0" turns away numbers that do not mix with floats (Decimal).
-        if not (
-            -_INF < t + 0.0 < _INF and -_INF < x + 0.0 < _INF and -_INF < y + 0.0 < _INF
-        ):
-            raise _point_error(0, first, -_INF)
+        try:
+            x, y, t = first
+            # "+ 0.0" turns away numbers that do not mix with floats (Decimal).
+            if not (-_INF < t + 0.0 < _INF and -_INF < x + 0.0 < _INF
+                    and -_INF < y + 0.0 < _INF):
+                raise _point_error(0, first, -_INF)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise _refused(0, exc)
         self.cfg = cfg
         self.mode = mode
         self.n_anomalous = 0
         self.n_patched = 0
-        self._error: Optional[Exception] = None
+        self._error: Optional[DataError] = None
         kernel = self._kernel(first)
         next(kernel)
         self._send = kernel.send
@@ -172,7 +183,7 @@ class OperbEncoder:
           became final;
         - _SNAPSHOT: it returns the fit state as a FitState;
         - None: it runs the finish logic and returns the last segments.
-        A rejected point makes it return None with the error in
+        A rejected point makes it return None with a DataError in
         self._error and the state as it stood before that point. It never
         raises on bad input, because a generator that raises is dead.
         """
@@ -208,12 +219,9 @@ class OperbEncoder:
         ax = first.x
         ay = first.y
         cnt = lz = 0
-        dplus = dminus = flen = fth = ralen = 0.0
+        dplus = dminus = flen = fth = 0.0
         fcos = racos = 1.0
         fsin = rasin = 0.0
-        # Cached views of the extremes; refreshed whenever they move.
-        dmin_b = 0.0
-        ok_sum = True
         # The newest consumed point, its timestamp, and the next input index.
         lastp = first
         last_t = first.t
@@ -258,8 +266,10 @@ class OperbEncoder:
             if pts is None:
                 break
             if pts is _SNAPSHOT:
+                dx = la.x - ax
+                dy = la.y - ay
                 out = FitState(anchor, la, cnt, dplus, dminus, lz, flen, fth,
-                               fcos, fsin, ralen, racos, rasin)
+                               fcos, fsin, sqrt(dx * dx + dy * dy), racos, rasin)
                 continue
             out = []
             for p in pts:
@@ -273,12 +283,13 @@ class OperbEncoder:
                     ):
                         raise _point_error(k, p, last_t)
                 except Exception as exc:
-                    self._error = exc
+                    self._error = _refused(k, exc)
                     out = None
                     break
-                # Each pass ends with p consumed, except when p breaks the
-                # segment: then the retry offers p to the closed segment
-                # (opt5) or places it in the fresh fit, which always takes it.
+                # Each pass ends with p consumed, absorbed or passed by the one
+                # deviation test, unless p breaks the segment; the retry then
+                # offers p to the closed segment (opt5) or the fresh fit,
+                # which always takes it.
                 while True:
                     if ab is not None:
                         if ab_len == 0.0:
@@ -311,7 +322,6 @@ class OperbEncoder:
                                 fth = norm(atan2(dy, dx))
                                 fcos = dx * inv
                                 fsin = dy * inv
-                                ralen = r_len
                                 racos = fcos
                                 rasin = fsin
                                 la = p
@@ -320,83 +330,66 @@ class OperbEncoder:
                             break
                         d_signed = dx * fsin - dy * fcos
                         d = -d_signed if d_signed < 0.0 else d_signed
-                        gain = r_len - flen
-                        if d <= dmin_b and gain <= quarter:
-                            # Neither extreme moves and p cannot go active,
-                            # so the rotation sense is not needed.
-                            if ok_sum if opt2 else d <= half:
+                        # Rotation sense toward p: d_signed*dot has the sign
+                        # of -sin(2*(theta_R - theta_L))/2, which is negative
+                        # exactly where the sense is +1. A zero product is
+                        # ambiguous (sin and cos repeat half a turn apart)
+                        # and falls back to the raw angles.
+                        prod = d_signed * (dx * fcos + dy * fsin)
+                        if prod < 0.0:
+                            fpos = True
+                        elif prod > 0.0:
+                            fpos = False
+                        else:
+                            fpos = sign_from_diff(norm(atan2(dy, dx)) - fth) > 0
+                        if fpos:
+                            plus = dplus if dplus > d else d
+                            minus = dminus
+                        else:
+                            plus = dplus
+                            minus = dminus if dminus > d else d
+                        if (plus + minus <= zeta) if opt2 else (d <= half):
+                            if r_len - flen <= quarter:
                                 d_ra = dx * rasin - dy * racos
                                 if d_ra < 0.0:
                                     d_ra = -d_ra
                                 if d_ra <= zeta:
                                     cnt += 1
-                                    break
-                        else:
-                            # Rotation sense toward p: d_signed*dot has the
-                            # sign of -sin(2*(theta_R - theta_L))/2, which is
-                            # negative exactly where the sense is +1. A zero
-                            # product is ambiguous (sin and cos repeat half a
-                            # turn apart) and falls back to the raw angles.
-                            prod = d_signed * (dx * fcos + dy * fsin)
-                            if prod < 0.0:
-                                fpos = True
-                            elif prod > 0.0:
-                                fpos = False
-                            else:
-                                fpos = sign_from_diff(norm(atan2(dy, dx)) - fth) > 0
-                            if fpos:
-                                plus = dplus if dplus > d else d
-                                minus = dminus
-                            else:
-                                plus = dplus
-                                minus = dminus if dminus > d else d
-                            if (plus + minus <= zeta) if opt2 else (d <= half):
-                                if gain <= quarter:
-                                    d_ra = dx * rasin - dy * racos
-                                    if d_ra < 0.0:
-                                        d_ra = -d_ra
-                                    if d_ra <= zeta:
-                                        cnt += 1
-                                        dplus = plus
-                                        dminus = minus
-                                        dmin_b = dplus if dplus < dminus else dminus
-                                        ok_sum = dplus + dminus <= zeta
-                                        break
-                                else:
-                                    # Case (3): stretch to the new zone and
-                                    # rotate toward p.
-                                    j = zone(r_len, zeta)
-                                    jl = j * half
                                     dplus = plus
                                     dminus = minus
-                                    dmin_b = dplus if dplus < dminus else dminus
-                                    ok_sum = dplus + dminus <= zeta
-                                    d_x = d
-                                    if opt3:
-                                        ex = plus if fpos else minus
-                                        u = d / jl
-                                        if u > 1.0:
-                                            u = 1.0
-                                        a_full = j * asin(u)
-                                        cap = jl if a_full >= half_pi else jl * sin(a_full)
-                                        d_x = ex if ex < cap else cap
-                                    dj = (j - lz) if opt4 else 1
-                                    arg = d_x / jl
-                                    if arg > 1.0:
-                                        arg = 1.0
-                                    step = asin(arg) * (dj / j)
-                                    fth = norm(fth + step if fpos else fth - step)
-                                    fcos = cos(fth)
-                                    fsin = sin(fth)
-                                    inv = 1.0 / r_len
-                                    flen = jl
-                                    ralen = r_len
-                                    racos = dx * inv
-                                    rasin = dy * inv
-                                    la = p
-                                    lz = j
-                                    cnt += 1
                                     break
+                            else:
+                                # Case (3): stretch to the new zone and
+                                # rotate toward p.
+                                j = zone(r_len, zeta)
+                                jl = j * half
+                                dplus = plus
+                                dminus = minus
+                                d_x = d
+                                if opt3:
+                                    ex = plus if fpos else minus
+                                    u = d / jl
+                                    if u > 1.0:
+                                        u = 1.0
+                                    a_full = j * asin(u)
+                                    cap = jl if a_full >= half_pi else jl * sin(a_full)
+                                    d_x = ex if ex < cap else cap
+                                dj = (j - lz) if opt4 else 1
+                                arg = d_x / jl
+                                if arg > 1.0:
+                                    arg = 1.0
+                                step = asin(arg) * (dj / j)
+                                fth = norm(fth + step if fpos else fth - step)
+                                fcos = cos(fth)
+                                fsin = sin(fth)
+                                inv = 1.0 / r_len
+                                flen = jl
+                                racos = dx * inv
+                                rasin = dy * inv
+                                la = p
+                                lz = j
+                                cnt += 1
+                                break
                     # p breaks the segment: close it at the last active point
                     # and start a fresh fit there.
                     seg = Segment(anchor, la, 1 + cnt)
@@ -411,10 +404,9 @@ class OperbEncoder:
                     ax = la.x
                     ay = la.y
                     cnt = lz = 0
-                    dplus = dminus = flen = fth = ralen = dmin_b = 0.0
+                    dplus = dminus = flen = fth = 0.0
                     fcos = racos = 1.0
                     fsin = rasin = 0.0
-                    ok_sum = True
                 last_t = pt
                 lastp = p
                 k += 1

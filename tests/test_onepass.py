@@ -1,6 +1,7 @@
 """Streaming encoder: segment boundaries, absorption, patching, both modes."""
 
 import copy
+import hashlib
 import math
 import pickle
 from collections import Counter
@@ -25,6 +26,9 @@ from trajsimp.onepass import (
 )
 
 P = Point
+
+# sha256 of the text hashed by test_encoder_output_and_fit_match_the_pinned_digest.
+ENCODER_SHA256 = "518b48d44366bdb9dea2fa0ceb95a59b2a3df5c701ee12a6d0cf8b5e971073cb"
 
 RIGHT_ANGLE = [P(0, 0, 0), P(1, 0, 1), P(2, 0, 2), P(2, 1, 3), P(2, 2, 4)]
 CORNER_CUT = [P(0, 0, 0), P(1, 0, 1), P(2, 0, 2), P(3, 1, 3), P(3, 2, 4), P(3, 3, 5)]
@@ -393,9 +397,11 @@ class TestEncoderContract:
         cfg = FitConfig(zeta=8.0)
         expect = simplify(traj, cfg, mode).segments
         # Decimal passes the finite-and-increasing comparisons but does not
-        # mix with float arithmetic.
-        with pytest.raises(TypeError):
-            OperbEncoder(cfg, mode, P(Decimal(0), 0.0, 0.0))
+        # mix with float arithmetic; an int past the float range overflows.
+        for bad in (P(Decimal(0), 0.0, 0.0), P(10**400, 0.0, 0.0)):
+            with pytest.raises(DataError, match="point 0: ") as refused:
+                OperbEncoder(cfg, mode, bad)
+            assert isinstance(refused.value.__cause__, (TypeError, OverflowError))
         for cut in range(1, len(traj), 7):
             enc = OperbEncoder(cfg, mode, traj[0])
             segs = []
@@ -409,12 +415,17 @@ class TestEncoderContract:
                 enc.push(P(last.x, last.y, last.t))
             decimal_x = P(Decimal(3), last.y, last.t + 0.5)
             decimal_t = P(last.x, last.y, Decimal(last.t + 0.5))
-            for bad in ((last.x, last.y), None, decimal_x, decimal_t):
-                with pytest.raises((TypeError, ValueError)):
+            huge_x = P(10**400, last.y, last.t + 0.5)
+            for bad in ((last.x, last.y), None, decimal_x, decimal_t, huge_x):
+                with pytest.raises(DataError, match=f"point {cut}: ") as refused:
                     enc.push(bad)
+                assert isinstance(
+                    refused.value.__cause__, (TypeError, ValueError, OverflowError)
+                )
             for bad in (decimal_x, decimal_t):
-                with pytest.raises(TypeError):
+                with pytest.raises(DataError, match=f"point {cut}: ") as refused:
                     simplify(traj[:cut] + [bad], cfg, mode)
+                assert isinstance(refused.value.__cause__, TypeError)
             assert tuple(getattr(enc.fit, f) for f in fields) == before, cut
             for p in traj[cut:]:
                 segs.extend(enc.push(p))
@@ -550,3 +561,66 @@ def test_error_bound_holds_with_defaults(traj, zeta):
     rep = simplify(traj, FitConfig(zeta=zeta))
     ok, violations = verify_error_bound(rep, traj, zeta)
     assert ok, violations
+
+
+def _parked_route(n, seed):
+    """A random walk that holds each position for 1..8 samples: repeated
+    coordinates at rising timestamps, as a vehicle parked between moves."""
+    rng = SplitMix64(seed)
+    walk = gen_random_walk(n, seed)
+    pts = []
+    for p in walk:
+        for _ in range(rng.randint(1, 8)):
+            if len(pts) == n:
+                return pts
+            pts.append(P(p.x, p.y, float(len(pts))))
+    return pts
+
+
+def _render(v):
+    """Text of a value with every float as %.9g, the precision of the CSV
+    emitter, so last-bit differences between libm builds do not show."""
+    if isinstance(v, float):
+        return "%.9g" % v
+    if isinstance(v, tuple):
+        return "(" + ",".join(_render(x) for x in v) + ")"
+    return repr(v)
+
+
+def test_encoder_output_and_fit_match_the_pinned_digest():
+    """Segments, counters and the fit state after every push, for every
+    opt set in both modes at a small and a large zeta, as they were when
+    the digest was pinned. Update the digest only for an intended change
+    of output."""
+    trajs = (
+        gen_random_walk(200, 3),
+        gen_grid_route(200, 3, step=20.0),
+        gen_grid_route(200, 3, step=1.0),  # exactly collinear inactive points
+        _parked_route(200, 3),
+    )
+    configs = [
+        dict(opt1=o1, opt2=o2, opt3=o3, opt4=o4, opt5=o5)
+        for o1 in (False, True) for o2 in (False, True) for o3 in (False, True)
+        for o4 in (False, True) for o5 in (False, True)
+    ]
+    configs += [dict(k_cap=3, gamma_m=0.0), dict(gamma_m=math.pi)]
+    digest = hashlib.sha256()
+    for i, opts in enumerate(configs):
+        for zeta in (2.0, 40.0):
+            cfg = FitConfig(zeta=zeta, **opts)
+            for mode in (Mode.OPERB, Mode.OPERB_A):
+                for traj in trajs:
+                    rep = simplify(traj, cfg, mode)
+                    for s in rep.segments:
+                        digest.update(_render(
+                            (s.start, s.end, s.covered, s.patched_start)
+                        ).encode())
+                    digest.update(_render(
+                        (rep.anomalous_candidates, rep.patches)
+                    ).encode())
+                traj = trajs[i % len(trajs)]
+                enc = OperbEncoder(cfg, mode, traj[0])
+                for p in traj[1:]:
+                    enc.push(p)
+                    digest.update(_render(tuple(enc.fit)).encode())
+    assert digest.hexdigest() == ENCODER_SHA256
