@@ -6,7 +6,7 @@ counts include both endpoints.
 """
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -16,8 +16,8 @@ from .onepass import PiecewiseRepresentation, Segment
 
 def _points(traj: Sequence[Point], zeta: float) -> List[Point]:
     """traj as a list; a single point leaves every loop as one (p0, p0)."""
-    if zeta <= 0.0:
-        raise ValueError("zeta must be > 0")
+    if not (math.isfinite(zeta) and zeta > 0.0):
+        raise ValueError(f"zeta must be finite and > 0, got {zeta}")
     pts = list(traj)
     if not pts:
         raise ValueError("need at least one point")
@@ -28,23 +28,6 @@ def _finalize(pts: Sequence[Point], bounds: List[Tuple[int, int]]) -> PiecewiseR
     segs = [Segment(pts[i], pts[j], j - i + 1) for i, j in bounds]
     anomalous = sum(1 for s in segs if s.covered == 2)
     return PiecewiseRepresentation(segs, anomalous_candidates=anomalous)
-
-
-def _span_distances(
-    xs: np.ndarray, ys: np.ndarray, i: int, j: int
-) -> Optional[np.ndarray]:
-    """Distances of points i+1..j-1 to the line through points i and j,
-    or None when the span has no interior."""
-    if j - i < 2:
-        return None
-    dx = xs[j] - xs[i]
-    dy = ys[j] - ys[i]
-    length = math.hypot(dx, dy)
-    sx = xs[i + 1 : j] - xs[i]
-    sy = ys[i + 1 : j] - ys[i]
-    if length == 0.0:
-        return np.hypot(sx, sy)
-    return np.abs(dx * sy - dy * sx) / length
 
 
 def dp_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
@@ -99,22 +82,72 @@ def dp_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     return _finalize(pts, bounds)
 
 
+# Window ends opw_simplify tests per numpy pass, and the cap on ends x
+# interior points per pass; see its docstring.
+_OPW_BLOCK = 32
+_OPW_CELLS = 1 << 16
+# _OPW_TAIL[r, c] is True where column c of the block's last interior
+# columns lies at or past the end of row r: those are not row r's points.
+_OPW_TAIL = np.arange(_OPW_BLOCK - 1) >= np.arange(_OPW_BLOCK)[:, None]
+
+
 def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     """Open-window: grow [P_s..P_k] while every window point stays within
     zeta of line(P_s, P_k); on violation emit line(P_s, P_{k-1}) and restart
-    the window at P_{k-1} (P_k is re-examined there)."""
+    the window at P_{k-1} (P_k is re-examined there).
+
+    Cost model: each numpy pass tests a block of 32 window ends at once,
+    as one (ends x interior) matrix of the distances of the points
+    s+1..e-2 to the chords P_s->P_e for the ends e in the block; each row
+    is masked to its own interior and the first row over zeta ends the
+    window. The windows of a walk hold a few dozen points, so a pass per
+    end would pay about ten numpy calls for a tiny array; a block of 32
+    spans such a window in one or two passes, while the rows computed past
+    the first violation cost little next to those calls (blocks of 16 and
+    64 were both slower on walks and grid routes). Once a window holds
+    more than 2048 points, fewer ends go into a pass, so that one pass
+    holds about 2**16 distances (512 kB) and memory stays linear in the
+    window, as with one end per pass. The work stays
+    quadratic in the window length, as OPW's is by definition. Every
+    distance is the expression the one-end-per-pass loop used (math.hypot
+    chord length, |cross| / length, radial np.hypot for a zero-length
+    chord, NaN counting as a violation), so the segments are the same.
+    """
     pts = _points(traj, zeta)
     n = len(pts)
     xs = np.fromiter((p.x for p in pts), dtype=np.float64, count=n)
     ys = np.fromiter((p.y for p in pts), dtype=np.float64, count=n)
     bounds: List[Tuple[int, int]] = []
     s = 0
-    for k in range(1, n):
-        dists = _span_distances(xs, ys, s, k)
-        if dists is None or float(np.max(dists)) <= zeta:
+    k = 2  # the first end with an interior point
+    while k < n:
+        e = min(k + max(1, min(_OPW_BLOCK, _OPW_CELLS // (k - s))), n)
+        rows = e - k
+        x0 = xs[s]
+        y0 = ys[s]
+        cx = xs[k:e] - x0
+        cy = ys[k:e] - y0
+        sx = xs[s + 1 : e - 1] - x0
+        sy = ys[s + 1 : e - 1] - y0
+        length = np.array(list(map(math.hypot, cx.tolist(), cy.tolist())))
+        zero = length == 0.0
+        length[zero] = 1.0  # rows of radial distances, set below
+        d = cx[:, None] * sy
+        d -= cy[:, None] * sx
+        np.abs(d, out=d)
+        d /= length[:, None]
+        if zero.any():
+            d[zero] = np.hypot(sx, sy)
+        # Row r (end k + r) owns the interior columns before k + r - s - 1.
+        d[:, k - s - 1 :][_OPW_TAIL[:rows, : rows - 1]] = 0.0
+        bad = ~(d.max(axis=1) <= zeta)
+        if not bad.any():
+            k = e
             continue
-        bounds.append((s, k - 1))
-        s = k - 1
+        end = k + int(bad.argmax())
+        bounds.append((s, end - 1))
+        s = end - 1
+        k = end + 1
     bounds.append((s, n - 1))
     return _finalize(pts, bounds)
 
@@ -126,13 +159,20 @@ class HullState:
     the window anchor; the box clipped by the two bearing lines is a convex
     region (at most eight vertices) containing every buffered point, so the
     max vertex distance upper-bounds every buffered point's distance.
+
+    Cost model: ``add`` touches one quadrant and rebuilds that quadrant's
+    clipped polygon only when the point moved its box or bearings;
+    ``vertices`` and ``max_distance_to`` read the cached polygons, so a
+    query clips nothing.
     """
 
-    __slots__ = ("quads",)
+    __slots__ = ("quads", "polys")
 
     def __init__(self):
         # quadrant -> [minx, maxx, miny, maxy, th_low, th_high]
         self.quads = {}
+        # quadrant -> its clipped polygon, in the same key order as quads
+        self.polys = {}
 
     def add(self, dx: float, dy: float) -> None:
         if dx >= 0.0:
@@ -142,20 +182,24 @@ class HullState:
         th = math.atan2(dy, dx)
         box = self.quads.get(q)
         if box is None:
-            self.quads[q] = [dx, dx, dy, dy, th, th]
-            return
-        if dx < box[0]:
-            box[0] = dx
-        elif dx > box[1]:
-            box[1] = dx
-        if dy < box[2]:
-            box[2] = dy
-        elif dy > box[3]:
-            box[3] = dy
-        if th < box[4]:
-            box[4] = th
-        elif th > box[5]:
-            box[5] = th
+            box = self.quads[q] = [dx, dx, dy, dy, th, th]
+        else:
+            old = box[:]
+            if dx < box[0]:
+                box[0] = dx
+            elif dx > box[1]:
+                box[1] = dx
+            if dy < box[2]:
+                box[2] = dy
+            elif dy > box[3]:
+                box[3] = dy
+            if th < box[4]:
+                box[4] = th
+            elif th > box[5]:
+                box[5] = th
+            if box == old:
+                return
+        self.polys[q] = self._polygon(box)
 
     @staticmethod
     def _clip(poly: List[Tuple[float, float]], cx: float, cy: float, keep_sign: float):
@@ -169,36 +213,48 @@ class HullState:
         would collapse it to nothing whenever the clip direction is nearly
         axis-parallel, clipping away the very point that defined the wedge
         (and with it the conservativeness of the certificate)."""
-        m = len(poly)
-        vals = []
-        keep = []
-        for ax, ay in poly:
-            c = keep_sign * (cx * ay - cy * ax)
-            vals.append(c)
-            keep.append(c >= -1e-12 * (abs(ax) + abs(ay)))
         out = []
-        for idx in range(m):
-            nxt = (idx + 1) % m
-            ax, ay = poly[idx]
-            bx, by = poly[nxt]
-            if keep[idx]:
-                out.append((ax, ay))
-            if keep[idx] != keep[nxt]:
-                t = vals[idx] / (vals[idx] - vals[nxt])
-                t = min(1.0, max(0.0, t))
+        first = poly[0]
+        ax, ay = first
+        ca = c0 = keep_sign * (cx * ay - cy * ax)
+        ka = k0 = ca >= -1e-12 * (abs(ax) + abs(ay))
+        if ka:
+            out.append(first)
+        # One pass over the edges a -> b: the crossing (if any), then b.
+        for b in poly[1:]:
+            bx, by = b
+            cb = keep_sign * (cx * by - cy * bx)
+            kb = cb >= -1e-12 * (abs(bx) + abs(by))
+            if ka is not kb:
+                t = min(1.0, max(0.0, ca / (ca - cb)))
                 out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+            if kb:
+                out.append(b)
+            ax = bx
+            ay = by
+            ca = cb
+            ka = kb
+        if ka is not k0:
+            bx, by = first
+            t = min(1.0, max(0.0, ca / (ca - c0)))
+            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
         return out
+
+    @classmethod
+    def _polygon(cls, box: List[float]) -> List[Tuple[float, float]]:
+        """The box clipped to the bearing wedge about the anchor."""
+        minx, maxx, miny, maxy, th_l, th_h = box
+        poly = [(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy)]
+        # Bearing wedge about the anchor: angle(v) <= th_h and >= th_l.
+        # cross((cos th, sin th), v) = |v| sin(angle(v) - th).
+        poly = cls._clip(poly, math.cos(th_h), math.sin(th_h), -1.0)
+        if poly:
+            poly = cls._clip(poly, math.cos(th_l), math.sin(th_l), 1.0)
+        return poly
 
     def vertices(self) -> List[Tuple[float, float]]:
         verts: List[Tuple[float, float]] = []
-        for box in self.quads.values():
-            minx, maxx, miny, maxy, th_l, th_h = box
-            poly = [(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy)]
-            # Bearing wedge about the anchor: angle(v) <= th_h and >= th_l.
-            # cross((cos th, sin th), v) = |v| sin(angle(v) - th).
-            poly = self._clip(poly, math.cos(th_h), math.sin(th_h), -1.0)
-            if poly:
-                poly = self._clip(poly, math.cos(th_l), math.sin(th_l), 1.0)
+        for poly in self.polys.values():
             verts.extend(poly)
         return verts
 
@@ -216,10 +272,11 @@ class HullState:
             return worst
         ux = dx / length
         uy = dy / length
-        for vx, vy in self.vertices():
-            d = abs(vx * uy - vy * ux)
-            if d > worst:
-                worst = d
+        for poly in self.polys.values():
+            for vx, vy in poly:
+                d = abs(vx * uy - vy * ux)
+                if d > worst:
+                    worst = d
         return worst
 
 

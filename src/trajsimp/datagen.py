@@ -185,10 +185,10 @@ def optimal_segments(traj: List[Point], zeta: float) -> int:
         raise ValueError("optimal_segments is O(n^2) per anchor, n capped at 2000")
     if n == 0:
         raise ValueError("need at least one point")
+    if not (math.isfinite(zeta) and zeta > 0.0):
+        raise ValueError(f"zeta must be finite and > 0, got {zeta}")
     if n <= 2:
         return 1
-    if zeta <= 0.0:
-        raise ValueError("zeta must be > 0")
     xs = np.fromiter((p.x for p in traj), dtype=np.float64, count=n)
     ys = np.fromiter((p.y for p in traj), dtype=np.float64, count=n)
 

@@ -160,6 +160,8 @@ class OperbEncoder:
                 raise _point_error(0, first, -_INF)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise _refused(0, exc)
+        if type(first) is not Point:
+            first = Point(x, y, t)
         self.cfg = cfg
         self.mode = mode
         self.n_anomalous = 0
@@ -211,6 +213,7 @@ class OperbEncoder:
         zone = zone_index
         norm = norm_angle
         line = _line
+        point = Point
 
         # The segment under construction: anchor, last active point, count
         # of points after the anchor, deviation extremes, the fitted line L
@@ -324,6 +327,10 @@ class OperbEncoder:
                                 fsin = dy * inv
                                 racos = fcos
                                 rasin = fsin
+                                if type(p) is not point:
+                                    # Another (x, y, t) triple: la is read
+                                    # by .x/.y and may become an endpoint.
+                                    p = point(px, py, pt)
                                 la = p
                                 lz = j
                             cnt += 1
@@ -386,6 +393,8 @@ class OperbEncoder:
                                 flen = jl
                                 racos = dx * inv
                                 rasin = dy * inv
+                                if type(p) is not point:
+                                    p = point(px, py, pt)
                                 la = p
                                 lz = j
                                 cnt += 1
@@ -412,6 +421,8 @@ class OperbEncoder:
                 k += 1
 
         out = []
+        if type(lastp) is not point:
+            lastp = point(*lastp)
         if ab is not None:
             # The stream ended mid-absorption: the last absorbed point
             # becomes the end of a two-point connector so the

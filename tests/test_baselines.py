@@ -32,10 +32,9 @@ class TestCommonContract:
             algo([], 1.0)
 
     def test_bad_zeta_raises(self, algo):
-        with pytest.raises(ValueError):
-            algo(M_SHAPE, 0.0)
-        with pytest.raises(ValueError):
-            algo(M_SHAPE, -2.0)
+        for zeta in (0.0, -2.0, float("nan"), math.inf):
+            with pytest.raises(ValueError, match="zeta must be finite and > 0"):
+                algo(M_SHAPE, zeta)
 
     def test_single_point(self, algo):
         rep = algo([P(1, 2, 3)], 1.0)

@@ -431,6 +431,30 @@ class TestEncoderContract:
                 segs.extend(enc.push(p))
             segs.extend(enc.finish())
             assert segs == expect, cut
+        # A plain (x, y, t) tuple is taken as a Point: it used to end the
+        # kernel with an AttributeError once it became the last active point.
+        enc = OperbEncoder(FitConfig(zeta=5.0), mode, P(0.0, 0.0, 0.0))
+        segs = enc.push((100.0, 0.0, 1.0)) + enc.push((100.0, 100.0, 2.0))
+        assert enc.fit.last_active == P(100.0, 100.0, 2.0)
+        segs += enc.push(P(100.0, 200.0, 3.0)) + enc.finish()
+        assert [(s.start, s.end) for s in segs] == [
+            (P(0.0, 0.0, 0.0), P(100.0, 0.0, 1.0)),
+            (P(100.0, 0.0, 1.0), P(100.0, 200.0, 3.0)),
+        ]
+        assert all(type(s.end) is P for s in segs)
+
+    @pytest.mark.parametrize("mode", [Mode.OPERB, Mode.OPERB_A])
+    def test_plain_triples_give_the_same_segments(self, mode):
+        """A trajectory of tuples or lists (x, y, t) simplifies like one of
+        Points, and every endpoint comes back as a Point."""
+        for traj in (gen_random_walk(200, seed=3), gen_grid_route(200, seed=3)):
+            for zeta in (2.0, 10.0, 40.0):
+                cfg = FitConfig(zeta=zeta)
+                expect = simplify(traj, cfg, mode).segments
+                for plain in ([tuple(p) for p in traj], [list(p) for p in traj]):
+                    got = simplify(plain, cfg, mode).segments
+                    assert got == expect
+                    assert all(type(s.start) is type(s.end) is P for s in got)
 
 
 class _CountingList(list):

@@ -1,11 +1,16 @@
-"""The fast ingest and distance paths against the plain code they replaced.
+"""The fast ingest, distance and window-baseline paths against the plain
+code they replaced.
 
 ``ingest_csv`` parses with ``csv.reader`` and positional columns, and
 ``_segment_distances`` gathers per-segment line parameters in one pass and
-measures every point with whole-array numpy.  The references below are the
-earlier ``DictReader`` ingest and per-segment distance loop, kept here
+measures every point with whole-array numpy.  ``opw_simplify`` tests a
+block of window ends per numpy pass, and ``HullState`` keeps each
+quadrant's clipped polygon until ``add`` moves that quadrant.  The
+references below are the earlier ``DictReader`` ingest, per-segment
+distance loop, one-end-per-pass OPW and rebuild-every-query hull, kept here
 verbatim in behaviour: the fast paths must give the same corpus (values and
-key order), the same error messages, and bit-identical distances.
+key order), the same error messages, bit-identical distances and hull
+vertices, and the same segments.
 """
 
 import csv
@@ -14,9 +19,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from trajsimp import baselines
+from trajsimp.baselines import HullState, fbqs_simplify, opw_simplify
 from trajsimp.datagen import gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError, InvariantError
 from trajsimp.fitting import FitConfig
@@ -91,6 +98,140 @@ def reference_distances(traj, rep):
 
 def fast_distances(traj, rep):
     return _segment_distances(rep, traj)
+
+
+def _span_distances(xs, ys, i, j):
+    """Distances of points i+1..j-1 to the line through points i and j,
+    or None when the span has no interior."""
+    if j - i < 2:
+        return None
+    dx = xs[j] - xs[i]
+    dy = ys[j] - ys[i]
+    length = math.hypot(dx, dy)
+    sx = xs[i + 1 : j] - xs[i]
+    sy = ys[i + 1 : j] - ys[i]
+    if length == 0.0:
+        return np.hypot(sx, sy)
+    return np.abs(dx * sy - dy * sx) / length
+
+
+def reference_opw(traj, zeta):
+    """The open window tested one end per numpy pass."""
+    pts = list(traj)
+    n = len(pts)
+    xs = np.fromiter((p.x for p in pts), dtype=np.float64, count=n)
+    ys = np.fromiter((p.y for p in pts), dtype=np.float64, count=n)
+    bounds = []
+    s = 0
+    for k in range(1, n):
+        dists = _span_distances(xs, ys, s, k)
+        if dists is None or float(np.max(dists)) <= zeta:
+            continue
+        bounds.append((s, k - 1))
+        s = k - 1
+    bounds.append((s, n - 1))
+    return baselines._finalize(pts, bounds)
+
+
+class ReferenceHull:
+    """The quadrant hull that rebuilds and clips every quadrant's polygon
+    on each query."""
+
+    def __init__(self):
+        self.quads = {}
+
+    def add(self, dx, dy):
+        if dx >= 0.0:
+            q = 0 if dy >= 0.0 else 3
+        else:
+            q = 1 if dy >= 0.0 else 2
+        th = math.atan2(dy, dx)
+        box = self.quads.get(q)
+        if box is None:
+            self.quads[q] = [dx, dx, dy, dy, th, th]
+            return
+        if dx < box[0]:
+            box[0] = dx
+        elif dx > box[1]:
+            box[1] = dx
+        if dy < box[2]:
+            box[2] = dy
+        elif dy > box[3]:
+            box[3] = dy
+        if th < box[4]:
+            box[4] = th
+        elif th > box[5]:
+            box[5] = th
+
+    @staticmethod
+    def _clip(poly, cx, cy, keep_sign):
+        m = len(poly)
+        vals = []
+        keep = []
+        for ax, ay in poly:
+            c = keep_sign * (cx * ay - cy * ax)
+            vals.append(c)
+            keep.append(c >= -1e-12 * (abs(ax) + abs(ay)))
+        out = []
+        for idx in range(m):
+            nxt = (idx + 1) % m
+            ax, ay = poly[idx]
+            bx, by = poly[nxt]
+            if keep[idx]:
+                out.append((ax, ay))
+            if keep[idx] != keep[nxt]:
+                t = vals[idx] / (vals[idx] - vals[nxt])
+                t = min(1.0, max(0.0, t))
+                out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+        return out
+
+    def vertices(self):
+        verts = []
+        for box in self.quads.values():
+            minx, maxx, miny, maxy, th_l, th_h = box
+            poly = [(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy)]
+            poly = self._clip(poly, math.cos(th_h), math.sin(th_h), -1.0)
+            if poly:
+                poly = self._clip(poly, math.cos(th_l), math.sin(th_l), 1.0)
+            verts.extend(poly)
+        return verts
+
+    def max_distance_to(self, dx, dy):
+        length = math.hypot(dx, dy)
+        worst = 0.0
+        if length == 0.0:
+            for vx, vy in self.vertices():
+                d = math.hypot(vx, vy)
+                if d > worst:
+                    worst = d
+            return worst
+        ux = dx / length
+        uy = dy / length
+        for vx, vy in self.vertices():
+            d = abs(vx * uy - vy * ux)
+            if d > worst:
+                worst = d
+        return worst
+
+
+def reference_fbqs(traj, zeta):
+    """The quadrant-hull window over ReferenceHull."""
+    pts = list(traj)
+    n = len(pts)
+    bounds = []
+    s = 0
+    anchor = pts[0]
+    hull = ReferenceHull()
+    for k in range(1, n):
+        p = pts[k]
+        if not hull.max_distance_to(p.x - anchor.x, p.y - anchor.y) <= zeta:
+            bounds.append((s, k - 1))
+            s = k - 1
+            anchor = pts[s]
+            hull = ReferenceHull()
+        hull.add(p.x - anchor.x, p.y - anchor.y)
+    bounds.append((s, n - 1))
+    return baselines._finalize(pts, bounds)
 
 
 # -- distances ---------------------------------------------------------------
@@ -170,6 +311,113 @@ def test_the_algorithm_cases_reach_patches_and_zero_length_segments():
             assert np.array_equal(
                 fast_distances(traj, rep), reference_distances(traj, rep)
             )
+
+
+# -- window baselines ----------------------------------------------------------
+
+BLOCK = baselines._OPW_BLOCK
+
+
+def straight(n, heading, park):
+    """n samples 7 units apart along one heading, every one repeated
+    ``park`` extra times: a single OPW window once n passes two blocks."""
+    c, s = math.cos(heading), math.sin(heading)
+    out = []
+    for i in range(n):
+        for _ in range(1 + park):
+            out.append(Point(7.0 * i * c, 7.0 * i * s, float(len(out))))
+    return out
+
+
+def revisits(cells):
+    """A path over the corners of a coarse lattice, so that positions recur
+    far apart in time: zero-length chords with interior points off them."""
+    return [Point(25.0 * i, 25.0 * j, float(t)) for t, (i, j) in enumerate(cells)]
+
+
+window_cases = st.one_of(
+    trajectories,
+    st.builds(
+        revisits,
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                 min_size=1, max_size=3 * BLOCK),
+    ),
+    st.builds(
+        lambda kind, n, seed: kind(n, seed, step=20.0),
+        st.sampled_from([gen_random_walk, gen_grid_route]),
+        st.sampled_from([1, 2, 3, BLOCK + 1, BLOCK + 2]),
+        st.integers(0, 2**32),
+    ),
+    st.builds(
+        straight,
+        st.integers(2 * BLOCK + 1, 5 * BLOCK),
+        st.sampled_from([0.0, math.pi / 2, 1.0]),
+        st.integers(0, 2),
+    ),
+)
+
+
+@given(
+    window_cases,
+    st.sampled_from([1.0, 2.0, 10.0, 40.0, 100.0]),
+    # A small cap on distances per pass stands in for a window of
+    # thousands of points: fewer ends go into each pass.
+    st.sampled_from([baselines._OPW_CELLS, 100]),
+)
+@example(straight(3 * BLOCK, 0.0, 0), 1.0, baselines._OPW_CELLS)
+@example(straight(2 * BLOCK + 5, 1.0, 2), 10.0, 100)
+@example(parked(gen_random_walk(BLOCK + 2, 9, step=20.0), 2, 5), 10.0, 100)
+@example(revisits([(0, 0), (1, 0), (2, 0), (3, 0)] * 12), 40.0, baselines._OPW_CELLS)
+@example(
+    [Point(math.nan, 0.0, 0.0) if i == 40 else p
+     for i, p in enumerate(gen_random_walk(2 * BLOCK, 4, step=20.0))],
+    100.0,
+    baselines._OPW_CELLS,
+)
+def test_window_baselines_match_the_one_end_loops(traj, zeta, cells):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_OPW_CELLS", cells)
+        assert opw_simplify(traj, zeta) == reference_opw(traj, zeta)
+    assert fbqs_simplify(traj, zeta) == reference_fbqs(traj, zeta)
+
+
+def test_the_window_cases_reach_long_windows_and_zero_length_chords():
+    rep = opw_simplify(straight(3 * BLOCK, 0.0, 0), 1.0)
+    assert [s.covered for s in rep.segments] == [3 * BLOCK]
+    # A parked run puts tested window ends on the window start's position.
+    still = parked(gen_random_walk(BLOCK + 2, 9, step=20.0), 2, 5)
+    rep = opw_simplify(still, 10.0)
+    zero_chords = s = 0
+    for seg in rep.segments:
+        e = s + seg.covered - 1
+        ends = range(s + 2, min(e + 2, len(still)))
+        zero_chords += sum(still[k][:2] == still[s][:2] for k in ends)
+        s = e
+    assert len(rep) > 1 and zero_chords > 0
+    # Shuttling back to the window start: the zero-length chord's interior
+    # lies up to 75 from it, so that end closes the window.
+    shuttle = revisits([(0, 0), (1, 0), (2, 0), (3, 0)] * 12)
+    assert opw_simplify(shuttle, 40.0).segments[0].end == shuttle[3]
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(-100, 100, allow_nan=False),
+                  st.floats(-100, 100, allow_nan=False)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.floats(-math.pi, math.pi),
+)
+def test_hull_matches_the_rebuilding_one(offsets, theta):
+    hull, ref = HullState(), ReferenceHull()
+    ux, uy = math.cos(theta), math.sin(theta)
+    for dx, dy in offsets:
+        hull.add(dx, dy)
+        ref.add(dx, dy)
+        assert hull.vertices() == ref.vertices()
+        assert hull.max_distance_to(ux, uy) == ref.max_distance_to(ux, uy)
+        assert hull.max_distance_to(0.0, 0.0) == ref.max_distance_to(0.0, 0.0)
 
 
 @pytest.mark.parametrize(
