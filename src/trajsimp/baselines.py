@@ -15,7 +15,11 @@ from .onepass import PiecewiseRepresentation, Segment
 
 
 def _points(traj: Sequence[Point], zeta: float) -> List[Point]:
-    """traj as a list; a single point leaves every loop as one (p0, p0)."""
+    """traj as a list; a single point leaves every loop as one (p0, p0).
+
+    The loops read coordinates by index, so a point may also be a plain
+    (x, y, t) tuple or list; ``_finalize`` turns the segment ends into
+    Points."""
     if not (math.isfinite(zeta) and zeta > 0.0):
         raise ValueError(f"zeta must be finite and > 0, got {zeta}")
     pts = list(traj)
@@ -24,8 +28,12 @@ def _points(traj: Sequence[Point], zeta: float) -> List[Point]:
     return pts
 
 
+def _point(p) -> Point:
+    return p if type(p) is Point else Point._make(p)
+
+
 def _finalize(pts: Sequence[Point], bounds: List[Tuple[int, int]]) -> PiecewiseRepresentation:
-    segs = [Segment(pts[i], pts[j], j - i + 1) for i, j in bounds]
+    segs = [Segment(_point(pts[i]), _point(pts[j]), j - i + 1) for i, j in bounds]
     anomalous = sum(1 for s in segs if s.covered == 2)
     return PiecewiseRepresentation(segs, anomalous_candidates=anomalous)
 
@@ -41,8 +49,8 @@ def dp_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     back to radial distances from the shared point.
     """
     pts = _points(traj, zeta)
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
     bounds: List[Tuple[int, int]] = []
     stack = [(0, len(pts) - 1)]
     while stack:
@@ -115,8 +123,8 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     """
     pts = _points(traj, zeta)
     n = len(pts)
-    xs = np.fromiter((p.x for p in pts), dtype=np.float64, count=n)
-    ys = np.fromiter((p.y for p in pts), dtype=np.float64, count=n)
+    xs = np.fromiter((p[0] for p in pts), dtype=np.float64, count=n)
+    ys = np.fromiter((p[1] for p in pts), dtype=np.float64, count=n)
     bounds: List[Tuple[int, int]] = []
     s = 0
     k = 2  # the first end with an interior point
@@ -152,6 +160,9 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     return _finalize(pts, bounds)
 
 
+_HALF_PI = 0.5 * math.pi
+
+
 class HullState:
     """Per-quadrant certificate for the simplified quadrant-hull window.
 
@@ -160,10 +171,12 @@ class HullState:
     region (at most eight vertices) containing every buffered point, so the
     max vertex distance upper-bounds every buffered point's distance.
 
-    Cost model: ``add`` touches one quadrant and rebuilds that quadrant's
-    clipped polygon only when the point moved its box or bearings;
-    ``vertices`` and ``max_distance_to`` read the cached polygons, so a
-    query clips nothing.
+    Cost model: ``add`` updates one quadrant's box and bearings and clips
+    nothing; when one of them moved, it drops that quadrant's clipped
+    polygon. ``exceeds`` settles most quadrants with a bound of a few
+    multiplications and clips a dropped polygon only when that bound cannot
+    settle the query, at most once per move; ``vertices`` clips every
+    dropped polygon.
     """
 
     __slots__ = ("quads", "polys")
@@ -171,7 +184,8 @@ class HullState:
     def __init__(self):
         # quadrant -> [minx, maxx, miny, maxy, th_low, th_high]
         self.quads = {}
-        # quadrant -> its clipped polygon, in the same key order as quads
+        # quadrant -> its clipped polygon, or None once add moved the
+        # quadrant; in the same key order as quads
         self.polys = {}
 
     def add(self, dx: float, dy: float) -> None:
@@ -182,24 +196,30 @@ class HullState:
         th = math.atan2(dy, dx)
         box = self.quads.get(q)
         if box is None:
-            box = self.quads[q] = [dx, dx, dy, dy, th, th]
-        else:
-            old = box[:]
-            if dx < box[0]:
-                box[0] = dx
-            elif dx > box[1]:
-                box[1] = dx
-            if dy < box[2]:
-                box[2] = dy
-            elif dy > box[3]:
-                box[3] = dy
-            if th < box[4]:
-                box[4] = th
-            elif th > box[5]:
-                box[5] = th
-            if box == old:
-                return
-        self.polys[q] = self._polygon(box)
+            self.quads[q] = [dx, dx, dy, dy, th, th]
+            self.polys[q] = None
+            return
+        moved = False
+        if dx < box[0]:
+            box[0] = dx
+            moved = True
+        elif dx > box[1]:
+            box[1] = dx
+            moved = True
+        if dy < box[2]:
+            box[2] = dy
+            moved = True
+        elif dy > box[3]:
+            box[3] = dy
+            moved = True
+        if th < box[4]:
+            box[4] = th
+            moved = True
+        elif th > box[5]:
+            box[5] = th
+            moved = True
+        if moved:
+            self.polys[q] = None
 
     @staticmethod
     def _clip(poly: List[Tuple[float, float]], cx: float, cy: float, keep_sign: float):
@@ -252,52 +272,115 @@ class HullState:
             poly = cls._clip(poly, math.cos(th_l), math.sin(th_l), 1.0)
         return poly
 
+    def _clipped(self, q: int) -> List[Tuple[float, float]]:
+        poly = self.polys[q]
+        if poly is None:
+            poly = self.polys[q] = self._polygon(self.quads[q])
+        return poly
+
     def vertices(self) -> List[Tuple[float, float]]:
         verts: List[Tuple[float, float]] = []
-        for poly in self.polys.values():
-            verts.extend(poly)
+        for q in self.quads:
+            verts.extend(self._clipped(q))
         return verts
 
-    def max_distance_to(self, dx: float, dy: float) -> float:
-        """Upper bound on any buffered point's distance to the line through
-        the anchor with direction (dx, dy); degenerate direction falls back
-        to the distance to the anchor itself."""
+    def exceeds(self, dx: float, dy: float, zeta: float) -> bool:
+        """Whether some polygon vertex lies more than zeta (finite, > 0)
+        from the line through the anchor with direction (dx, dy), by the
+        distance abs(vx * uy - vy * ux), (ux, uy) = (dx, dy) / hypot(dx, dy).
+        A NaN distance exceeds nothing; a zero direction tests every
+        vertex's distance hypot(vx, vy) to the anchor instead.
+
+        A quadrant is settled when either bound below is at most
+        zeta - (5e-12 * R + 1e-300), R the distance of its box corner
+        farthest from the anchor; only otherwise is its polygon clipped
+        (once per move) and every vertex tested, so the answer is that of
+        the exact test.
+
+        * Box: uy * x - ux * y is linear, so over the box it peaks and
+          bottoms out at the corners picked by the signs of uy and -ux.
+        * Wedge, when the bearings span at most pi/2: the region lies
+          within R of the anchor and between the extreme bearings, so its
+          distance is at most R * F, F the largest |sin| between (ux, uy)
+          and a bearing in the wedge: 1 when the wedge holds the line's
+          normal (the bearings' dot products with (ux, uy) differ in sign;
+          a wedge narrower than pi meets at most one normal), else the
+          larger |sin| at the two bearings, |sin| being monotone between.
+
+        Slack: the bounds hold for the exact region, the test runs on the
+        computed vertices. Each vertex is a rounded convex combination of
+        box corners, so it lies within a few ulps of the box. ``_clip``
+        keeps a vertex up to tau = 1e-12 * (|x| + |y|) <= 1.5e-12 * R
+        across a bearing line, and with the bearings at most pi/2 apart no
+        vertex lies more than tau behind a bearing either. Such a point is
+        within sqrt(2) * tau of the wedge (within tau of a bearing's ray
+        when less than a right angle past it, else within sqrt(2) * tau of
+        the anchor), which moves its distance by at most 2.2e-12 * R.
+        Rounding in ux, uy, the distances, cos, sin and R adds about
+        1e-14 * R; 1e-300 covers subnormal coordinates, whose rounding is
+        absolute. A NaN or infinity fails both bounds.
+        """
         length = math.hypot(dx, dy)
-        worst = 0.0
         if length == 0.0:
             for vx, vy in self.vertices():
-                d = math.hypot(vx, vy)
-                if d > worst:
-                    worst = d
-            return worst
+                if math.hypot(vx, vy) > zeta:
+                    return True
+            return False
         ux = dx / length
         uy = dy / length
-        for poly in self.polys.values():
-            for vx, vy in poly:
-                d = abs(vx * uy - vy * ux)
-                if d > worst:
-                    worst = d
-        return worst
+        # Box indices of the corners where uy * x - ux * y peaks (hi) and
+        # bottoms out (lo).
+        xh, xl = (1, 0) if uy >= 0.0 else (0, 1)
+        yh, yl = (2, 3) if ux >= 0.0 else (3, 2)
+        for q, box in self.quads.items():
+            minx, maxx, miny, maxy, th_l, th_h = box
+            r = math.hypot(maxx if maxx > -minx else minx,
+                           maxy if maxy > -miny else miny)
+            limit = zeta - (5e-12 * r + 1e-300)
+            if (uy * box[xh] - ux * box[yh] <= limit
+                    and ux * box[yl] - uy * box[xl] <= limit):
+                continue
+            if th_h - th_l <= _HALF_PI:
+                cl = math.cos(th_l)
+                sl = math.sin(th_l)
+                ch = math.cos(th_h)
+                sh = math.sin(th_h)
+                if (cl * ux + sl * uy) * (ch * ux + sh * uy) <= 0.0:
+                    f = 1.0
+                else:
+                    f = max(abs(cl * uy - sl * ux), abs(ch * uy - sh * ux))
+                if r * f <= limit:
+                    continue
+            for vx, vy in self._clipped(q):
+                if abs(vx * uy - vy * ux) > zeta:
+                    return True
+        return False
 
 
 def fbqs_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     """Simplified quadrant-hull window: a new point is accepted while the
     hull certificate keeps every buffered point within zeta of
     line(P_s, P_k); any indeterminate or exceeded bound emits and restarts
-    at P_{k-1}."""
+    at P_{k-1}.
+
+    Cost model: one ``HullState.add`` and one ``HullState.exceeds`` per
+    point. Most quadrants are settled by the box or wedge bound there, and
+    a quadrant's polygon is clipped only when neither bound settles it, so
+    a window along a straight line, where the box bound fails, clips
+    almost nothing."""
     pts = _points(traj, zeta)
     n = len(pts)
     bounds: List[Tuple[int, int]] = []
     s = 0
-    anchor = pts[0]
+    ax, ay = pts[0][0], pts[0][1]
     hull = HullState()
     for k in range(1, n):
         p = pts[k]
-        if not hull.max_distance_to(p.x - anchor.x, p.y - anchor.y) <= zeta:
+        if hull.exceeds(p[0] - ax, p[1] - ay, zeta):
             bounds.append((s, k - 1))
             s = k - 1
-            anchor = pts[s]
+            ax, ay = pts[s][0], pts[s][1]
             hull = HullState()
-        hull.add(p.x - anchor.x, p.y - anchor.y)
+        hull.add(p[0] - ax, p[1] - ay)
     bounds.append((s, n - 1))
     return _finalize(pts, bounds)

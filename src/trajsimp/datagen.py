@@ -179,7 +179,7 @@ def optimal_segments(traj: List[Point], zeta: float) -> int:
     """Fewest segments over all representations whose endpoints are input
     samples, each span staying within zeta of its chord.  Exact via
     shortest path on the span-validity graph; quadratic memory, so capped
-    at 2000 points."""
+    at 2000 points.  A point may also be a plain (x, y, t) tuple or list."""
     n = len(traj)
     if n > 2000:
         raise ValueError("optimal_segments is O(n^2) per anchor, n capped at 2000")
@@ -189,8 +189,8 @@ def optimal_segments(traj: List[Point], zeta: float) -> int:
         raise ValueError(f"zeta must be finite and > 0, got {zeta}")
     if n <= 2:
         return 1
-    xs = np.fromiter((p.x for p in traj), dtype=np.float64, count=n)
-    ys = np.fromiter((p.y for p in traj), dtype=np.float64, count=n)
+    xs = np.fromiter((p[0] for p in traj), dtype=np.float64, count=n)
+    ys = np.fromiter((p[1] for p in traj), dtype=np.float64, count=n)
 
     dist = np.full(n, -1, dtype=np.int64)
     dist[0] = 0

@@ -49,6 +49,15 @@ class TestCommonContract:
         rep = algo(traj, 1.0)
         assert rep.segments == [Segment(traj[0], traj[-1], 10)]
 
+    def test_tuples_and_lists_give_the_same_segments(self, algo):
+        small = [P(0.0, 0.0, 0.0), P(5.0, 1.0, 1.0), P(9.0, 0.0, 2.0)]
+        for traj, zeta in ((small, 1.0), (gen_random_walk(80, seed=5), 10.0)):
+            rep = algo(traj, zeta)
+            for as_plain in (tuple, list):
+                plain = algo([as_plain(p) for p in traj], zeta)
+                assert plain == rep
+                assert all(type(s.start) is P and type(s.end) is P for s in plain)
+
     def test_covered_counts_chain_across_all_points(self, algo):
         traj = gen_random_walk(80, seed=5)
         rep = algo(traj, 10.0)
@@ -113,15 +122,36 @@ class TestOpw:
 class TestHullState:
     def test_empty_hull_bounds_nothing(self):
         hull = HullState()
-        assert hull.max_distance_to(1.0, 0.0) == 0.0
+        assert not hull.exceeds(1.0, 0.0, 5e-324)
+        assert not hull.exceeds(0.0, 0.0, 5e-324)
         assert hull.vertices() == []
 
     def test_single_point(self):
         hull = HullState()
         hull.add(3.0, 4.0)
-        assert hull.max_distance_to(1.0, 0.0) == pytest.approx(4.0)
+        assert hull.exceeds(1.0, 0.0, 3.999)
+        assert not hull.exceeds(1.0, 0.0, 4.001)
         # degenerate direction: fall back to distance from the anchor
-        assert hull.max_distance_to(0.0, 0.0) == pytest.approx(5.0)
+        assert hull.exceeds(0.0, 0.0, 4.999)
+        assert not hull.exceeds(0.0, 0.0, 5.001)
+
+    def test_the_cheap_bounds_settle_without_clipping(self):
+        # Off a 30-degree line the box's corners lie far from it, so the box
+        # bound fails; the bearings' wedge settles every query instead.
+        hull = HullState()
+        c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+        for i in range(1, 50):
+            hull.add(7.0 * i * c, 7.0 * i * s)
+            assert not hull.exceeds(7.0 * (i + 1) * c, 7.0 * (i + 1) * s, 1.0)
+            assert list(hull.polys.values()) == [None]
+        # A wedge 45 degrees wide reaches 35 off the x axis at radius 50,
+        # but the box is 0.1 high: only the box bound settles this one.
+        hull = HullState()
+        hull.add(0.1, 0.1)
+        hull.add(50.0, 0.0)
+        assert not hull.exceeds(1.0, 0.0, 1.0)
+        assert list(hull.polys.values()) == [None]
+        assert hull.exceeds(1.0, 0.0, 0.05)
 
     @settings(max_examples=60)
     @given(
@@ -136,14 +166,16 @@ class TestHullState:
         st.floats(min_value=-math.pi, max_value=math.pi),
     )
     def test_certificate_is_conservative(self, offsets, theta):
-        """The hull bound must never undercut a buffered point's distance."""
+        """The hull must never accept a line that a buffered point misses
+        by more than zeta."""
         hull = HullState()
         for dx, dy in offsets:
             hull.add(dx, dy)
         ux, uy = math.cos(theta), math.sin(theta)
-        bound = hull.max_distance_to(ux, uy)
         true_max = max(abs(dx * uy - dy * ux) for dx, dy in offsets)
-        assert bound >= true_max - 1e-9 * max(1.0, true_max)
+        zeta = true_max - 1e-9 * max(1.0, true_max)
+        if zeta > 0.0:
+            assert hull.exceeds(ux, uy, zeta)
 
 
 class TestFbqs:

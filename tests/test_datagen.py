@@ -161,6 +161,13 @@ class TestOptimalSegments:
         with pytest.raises(ValueError):
             optimal_segments([], 1.0)
 
+    def test_tuples_and_lists_count_as_points(self):
+        traj = gen_random_walk(120, 3)
+        for zeta in (2.0, 10.0):
+            floor = optimal_segments(traj, zeta)
+            for as_plain in (tuple, list):
+                assert optimal_segments([as_plain(p) for p in traj], zeta) == floor
+
     def test_bad_zeta_raises_at_any_length(self):
         tent = [Point(0.0, 0.0, 0.0), Point(1.0, 1.0, 1.0), Point(2.0, 0.0, 2.0)]
         for zeta in (0.0, -1.0, float("nan"), math.inf):

@@ -4,17 +4,18 @@ code they replaced.
 ``ingest_csv`` parses with ``csv.reader`` and positional columns, and
 ``_segment_distances`` gathers per-segment line parameters in one pass and
 measures every point with whole-array numpy.  ``opw_simplify`` tests a
-block of window ends per numpy pass, and ``HullState`` keeps each
-quadrant's clipped polygon until ``add`` moves that quadrant.  The
-references below are the earlier ``DictReader`` ingest, per-segment
-distance loop, one-end-per-pass OPW and rebuild-every-query hull, kept here
-verbatim in behaviour: the fast paths must give the same corpus (values and
-key order), the same error messages, bit-identical distances and hull
-vertices, and the same segments.
+block of window ends per numpy pass, and ``HullState`` clips a quadrant's
+polygon only when a cheap bound cannot settle a query.  The references
+below are the earlier ``DictReader`` ingest, per-segment distance loop,
+one-end-per-pass OPW and rebuild-every-query hull, kept here verbatim in
+behaviour: the fast paths must give the same corpus (values and key order),
+the same error messages, bit-identical distances and hull vertices, the
+same hull decisions, and the same segments.
 """
 
 import csv
 import math
+import random
 import re
 
 import numpy as np
@@ -335,6 +336,21 @@ def revisits(cells):
     return [Point(25.0 * i, 25.0 * j, float(t)) for t, (i, j) in enumerate(cells)]
 
 
+def shifted(traj, off):
+    """traj moved off along x and -off/2 along y, as projected coordinates
+    far from their origin are."""
+    return [Point(p.x + off, p.y - 0.5 * off, p.t) for p in traj]
+
+
+def jittered(traj, seed, amp):
+    """traj with every coordinate moved by up to amp, reproducibly."""
+    rng = random.Random(seed)
+    return [Point(p.x + rng.uniform(-amp, amp), p.y + rng.uniform(-amp, amp), p.t)
+            for p in traj]
+
+
+OBLIQUE = [math.pi / 6, math.pi / 4, -3 * math.pi / 4]
+
 window_cases = st.one_of(
     trajectories,
     st.builds(
@@ -351,15 +367,32 @@ window_cases = st.one_of(
     st.builds(
         straight,
         st.integers(2 * BLOCK + 1, 5 * BLOCK),
-        st.sampled_from([0.0, math.pi / 2, 1.0]),
+        st.sampled_from([0.0, math.pi / 2, 1.0] + OBLIQUE),
         st.integers(0, 2),
+    ),
+    # Oblique lines, where the hull's box bound fails, with and without
+    # jitter; far from the origin; and long parked runs.
+    st.builds(
+        jittered,
+        st.builds(straight, st.integers(2, 5 * BLOCK), st.sampled_from(OBLIQUE),
+                  st.just(0)),
+        st.integers(0, 2**32),
+        st.sampled_from([0.0, 0.05, 0.5, 3.0]),
+    ),
+    st.builds(shifted, trajectories, st.sampled_from([1e7, -2.5e7])),
+    st.builds(
+        parked,
+        st.builds(gen_random_walk, st.integers(2, 60), st.integers(0, 2**32)),
+        st.integers(5, 30),
+        st.integers(50, 300),
     ),
 )
 
 
 @given(
     window_cases,
-    st.sampled_from([1.0, 2.0, 10.0, 40.0, 100.0]),
+    # 1e-6 to 1e6 of the 20-unit step most cases take
+    st.sampled_from([2e-5, 1.0, 2.0, 10.0, 40.0, 100.0, 2e7]),
     # A small cap on distances per pass stands in for a window of
     # thousands of points: fewer ends go into each pass.
     st.sampled_from([baselines._OPW_CELLS, 100]),
@@ -374,6 +407,11 @@ window_cases = st.one_of(
     100.0,
     baselines._OPW_CELLS,
 )
+@example(jittered(straight(5 * BLOCK, math.pi / 6, 0), 3, 0.5), 1.0, baselines._OPW_CELLS)
+@example(straight(5 * BLOCK, math.pi / 4, 0), 2e-5, baselines._OPW_CELLS)
+@example(shifted(gen_random_walk(400, 11, step=20.0), 1e7), 2e-5, baselines._OPW_CELLS)
+@example(shifted(gen_grid_route(400, 12, step=20.0), -2.5e7), 2e7, baselines._OPW_CELLS)
+@example(parked(gen_random_walk(40, 13), 10, 300), 10.0, baselines._OPW_CELLS)
 def test_window_baselines_match_the_one_end_loops(traj, zeta, cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "_OPW_CELLS", cells)
@@ -400,6 +438,14 @@ def test_the_window_cases_reach_long_windows_and_zero_length_chords():
     assert opw_simplify(shuttle, 40.0).segments[0].end == shuttle[3]
 
 
+def boundary_zetas(ref):
+    """zeta at the reference bound, one ulp either side of it and 1e-9 of
+    it either side, keeping only the finite positive ones."""
+    zetas = [ref, math.nextafter(ref, math.inf), math.nextafter(ref, 0.0),
+             ref * (1.0 + 1e-9), ref * (1.0 - 1e-9)]
+    return [z for z in zetas if 0.0 < z < math.inf]
+
+
 @given(
     st.lists(
         st.tuples(st.floats(-100, 100, allow_nan=False),
@@ -408,16 +454,28 @@ def test_the_window_cases_reach_long_windows_and_zero_length_chords():
         max_size=40,
     ),
     st.floats(-math.pi, math.pi),
+    # 1e-6 to 1e7 spans projected coordinates; at 1e-318 every offset is
+    # subnormal, where rounding is absolute rather than relative.
+    st.sampled_from([1e-318, 1e-6, 1e-3, 1.0, 1e3, 1e5, 1e7]),
 )
-def test_hull_matches_the_rebuilding_one(offsets, theta):
+@example([(3.0, 4.0)], 0.0, 1.0)
+@example([(10.0, 1.0), (1.0, 10.0)], -math.pi / 4, 1e7)
+@example([(-5.0, 0.0), (0.0, -5.0), (5.0, 5.0), (-5.0, 5.0)], 0.3, 1e-6)
+@example([(-54.0, 96.0), (-1.0, -60.0)], 0.3, 1e-318)
+def test_hull_matches_the_rebuilding_one(offsets, theta, scale):
+    """After every add, the hull's vertices and its decision at zeta on
+    and around the reference bound equal the rebuilding hull's, for a line
+    at theta and for the zero-length query."""
     hull, ref = HullState(), ReferenceHull()
-    ux, uy = math.cos(theta), math.sin(theta)
+    queries = [(math.cos(theta), math.sin(theta)), (0.0, 0.0)]
     for dx, dy in offsets:
-        hull.add(dx, dy)
-        ref.add(dx, dy)
+        hull.add(dx * scale, dy * scale)
+        ref.add(dx * scale, dy * scale)
+        for qx, qy in queries:
+            bound = ref.max_distance_to(qx, qy)
+            for zeta in boundary_zetas(bound):
+                assert hull.exceeds(qx, qy, zeta) == (bound > zeta)
         assert hull.vertices() == ref.vertices()
-        assert hull.max_distance_to(ux, uy) == ref.max_distance_to(ux, uy)
-        assert hull.max_distance_to(0.0, 0.0) == ref.max_distance_to(0.0, 0.0)
 
 
 @pytest.mark.parametrize(
