@@ -13,11 +13,10 @@ from pathlib import Path
 
 from trajsimp import (
     FitConfig,
-    average_error,
+    compute_stats,
     emit_segments,
     gen_random_walk,
     ingest_csv,
-    max_error,
     simplify,
     verify_error_bound,
     write_corpus,
@@ -35,14 +34,15 @@ with tempfile.TemporaryDirectory(prefix="trajsimp-demo-") as workdir:
 
     rep = simplify(traj, FitConfig(zeta=zeta))
     rep.traj_id = "walk"
-    emit_segments(rep, str(segments_path))
+    emit_segments([rep], str(segments_path))
     print(f"compressed {len(traj)} points to {len(rep.segments)} segments at zeta={zeta:g}")
     print(f"segments written to {segments_path.name} in a temporary directory")
 
 ok, violations = verify_error_bound(rep, traj, zeta)
 print(f"\nbound check at zeta={zeta:g}: {'ok' if ok else 'VIOLATED'}")
-print(f"  average deviation: {average_error(rep, traj):.3f}")
-print(f"  maximum deviation: {max_error(rep, traj):.3f}")
+stats = compute_stats([rep], [traj])
+print(f"  average deviation: {stats.avg_error:.3f}")
+print(f"  maximum deviation: {stats.max_error:.3f}")
 
 # Checking against a tighter bound than the one used for compression
 # shows what a failure report looks like: index of the offending input

@@ -7,13 +7,11 @@ deterministic data generators, and a CSV/CLI harness around them.
 
 from .baselines import dp_simplify, fbqs_simplify, opw_simplify
 from .datagen import (
-    GenSpec,
     SplitMix64,
     figure_fixture,
     gen_grid_route,
     gen_random_walk,
     gen_stepwise_adversarial,
-    generate,
     optimal_segments,
 )
 from .errors import DataError, InvariantError
@@ -23,10 +21,7 @@ from .harness import ALGORITHMS, RunConfig, compress_corpus, format_report, run_
 from .io import emit_segments, ingest_csv, write_corpus
 from .metrics import (
     CompressionStats,
-    average_error,
     compute_stats,
-    max_error,
-    point_mapping,
     verify_error_bound,
 )
 from .onepass import (
@@ -35,7 +30,6 @@ from .onepass import (
     PiecewiseRepresentation,
     Segment,
     simplify,
-    try_patch,
 )
 
 __version__ = "0.1.0"
@@ -45,7 +39,6 @@ __all__ = [
     "CompressionStats",
     "DataError",
     "FitConfig",
-    "GenSpec",
     "InvariantError",
     "Mode",
     "OperbEncoder",
@@ -54,7 +47,6 @@ __all__ = [
     "RunConfig",
     "Segment",
     "SplitMix64",
-    "average_error",
     "compress_corpus",
     "compute_stats",
     "dp_simplify",
@@ -65,15 +57,11 @@ __all__ = [
     "gen_grid_route",
     "gen_random_walk",
     "gen_stepwise_adversarial",
-    "generate",
     "ingest_csv",
-    "max_error",
     "opw_simplify",
     "optimal_segments",
-    "point_mapping",
     "run_compare",
     "simplify",
-    "try_patch",
     "verify_error_bound",
     "write_corpus",
     "__version__",

@@ -10,6 +10,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .fitting import check_zeta
 from .geometry import Point
 from .onepass import PiecewiseRepresentation, Segment
 
@@ -20,8 +21,7 @@ def _points(traj: Sequence[Point], zeta: float) -> List[Point]:
     The loops read coordinates by index, so a point may also be a plain
     (x, y, t) tuple or list; ``_finalize`` turns the segment ends into
     Points."""
-    if not (math.isfinite(zeta) and zeta > 0.0):
-        raise ValueError(f"zeta must be finite and > 0, got {zeta}")
+    check_zeta(zeta)
     pts = list(traj)
     if not pts:
         raise ValueError("need at least one point")

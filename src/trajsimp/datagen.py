@@ -5,18 +5,16 @@ platforms and Python versions; nothing here touches the stdlib RNG.
 """
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import List
 
 import numpy as np
 
+from .fitting import check_zeta
 from .geometry import Point
 from .io import ingest_csv
 
 _MASK64 = (1 << 64) - 1
-
-KINDS = ("random-walk", "grid-route", "stepwise", "figure-route", "figure-corner")
 
 
 class SplitMix64:
@@ -52,33 +50,18 @@ class SplitMix64:
         return lo + int(self.next_float() * (hi - lo + 1))
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Recipe for one synthetic trajectory."""
-
-    kind: str
-    n: int
-    seed: int = 0
-    step: float = 5.0
-    zeta: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be finite and > 0")
-        if not (math.isfinite(self.zeta) and self.zeta > 0):
-            raise ValueError("zeta must be finite and > 0")
+def _check_walk(n: int, step: float) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and > 0")
 
 
 def gen_random_walk(n: int, seed: int, step: float = 5.0) -> List[Point]:
     """Constant-speed walk whose heading drifts by uniform(-pi/8, pi/8)
     per sample.  Starts at the origin with t = 0, 1, 2, ...; the polyline
     length is exactly (n - 1) * step."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_walk(n, step)
     rng = SplitMix64(seed)
     heading = rng.uniform(0.0, 2.0 * math.pi)
     x = y = 0.0
@@ -95,8 +78,7 @@ def gen_grid_route(n: int, seed: int, step: float = 5.0) -> List[Point]:
     """Axis-aligned route: legs of 5..20 unit steps joined by +-90 degree
     turns.  Each corner sample is dropped with probability 1/2; the step
     clock keeps ticking, so dropped corners leave timestamp gaps."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_walk(n, step)
     rng = SplitMix64(seed)
     dirs = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
     d = rng.randint(0, 3)
@@ -134,8 +116,7 @@ def gen_stepwise_adversarial(k: int, zeta: float = 1.0) -> List[Point]:
     """
     if not 2 <= k <= 100_000:
         raise ValueError("k must be in [2, 100000]")
-    if not (math.isfinite(zeta) and zeta > 0):
-        raise ValueError("zeta must be finite and > 0")
+    check_zeta(zeta)
     inset = 1.0 - 1e-8
     half = zeta / 2.0
     pts = [Point(0.0, 0.0, 0.0), Point(half, 0.0, 1.0)]
@@ -163,18 +144,6 @@ def figure_fixture(name: str) -> List[Point]:
     return ingest_csv(str(path))[name]
 
 
-def generate(spec: GenSpec) -> List[Point]:
-    if spec.kind == "random-walk":
-        return gen_random_walk(spec.n, spec.seed, spec.step)
-    if spec.kind == "grid-route":
-        return gen_grid_route(spec.n, spec.seed, spec.step)
-    if spec.kind == "stepwise":
-        return gen_stepwise_adversarial(spec.n, spec.zeta)
-    if spec.kind == "figure-route":
-        return figure_fixture("route")
-    return figure_fixture("corner")
-
-
 def optimal_segments(traj: List[Point], zeta: float) -> int:
     """Fewest segments over all representations whose endpoints are input
     samples, each span staying within zeta of its chord.  Exact via
@@ -185,8 +154,7 @@ def optimal_segments(traj: List[Point], zeta: float) -> int:
         raise ValueError("optimal_segments is O(n^2) per anchor, n capped at 2000")
     if n == 0:
         raise ValueError("need at least one point")
-    if not (math.isfinite(zeta) and zeta > 0.0):
-        raise ValueError(f"zeta must be finite and > 0, got {zeta}")
+    check_zeta(zeta)
     if n <= 2:
         return 1
     xs = np.fromiter((p[0] for p in traj), dtype=np.float64, count=n)

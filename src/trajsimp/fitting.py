@@ -36,6 +36,12 @@ _3_HALF_PI = 1.5 * math.pi
 K_CAP_LIMIT = 400_000
 
 
+def check_zeta(zeta: float) -> None:
+    """Raise ValueError unless zeta is a finite error bound above zero."""
+    if not (math.isfinite(zeta) and zeta > 0.0):
+        raise ValueError(f"zeta must be finite and > 0, got {zeta}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Parameters shared by one compression run."""
@@ -50,8 +56,7 @@ class FitConfig:
     gamma_m: float = math.pi / 3.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.zeta) and self.zeta > 0.0):
-            raise ValueError(f"zeta must be finite and > 0, got {self.zeta}")
+        check_zeta(self.zeta)
         if not (1 <= self.k_cap <= K_CAP_LIMIT):
             raise ValueError(f"k_cap must be in [1, {K_CAP_LIMIT}], got {self.k_cap}")
         if not (0.0 <= self.gamma_m <= math.pi):

@@ -13,7 +13,7 @@ across runs and platforms.
 
 import csv
 import math
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List
 
 from .errors import DataError
 from .geometry import Point, project_equirectangular
@@ -104,13 +104,8 @@ def _fmt(v: float) -> str:
     return "%.9g" % v
 
 
-def emit_segments(
-    reps: Union[PiecewiseRepresentation, Iterable[PiecewiseRepresentation]],
-    path: str,
-) -> int:
+def emit_segments(reps: Iterable[PiecewiseRepresentation], path: str) -> int:
     """Write one row per output segment; returns the row count."""
-    if isinstance(reps, PiecewiseRepresentation):
-        reps = [reps]
     rows = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -15,13 +15,13 @@ its start point.
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvariantError
 from .geometry import Point
-from .onepass import PiecewiseRepresentation, Segment
+from .onepass import PiecewiseRepresentation
 
 BOUND_SLACK = 1e-9
 
@@ -47,37 +47,6 @@ class CompressionStats:
         return self.patched / self.anomalous
 
 
-def _walk(
-    rep: PiecewiseRepresentation, n: int
-) -> Iterator[Tuple[Segment, int]]:
-    """(segment, fresh point count) along the covered-count walk over n
-    input points.  Raises InvariantError, once exhausted, when the counts do
-    not add up to n."""
-    idx = 0
-    for i, seg in enumerate(rep.segments):
-        fresh = seg.covered if (i == 0 or seg.patched_start) else seg.covered - 1
-        if fresh < 0:
-            raise InvariantError(
-                f"segment {i} covers {seg.covered} points but shares its start"
-            )
-        yield seg, fresh
-        idx += fresh
-    if idx != n:
-        raise InvariantError(f"covered counts consume {idx} points, input has {n}")
-
-
-def point_mapping(rep: PiecewiseRepresentation, n: int) -> List[Tuple[int, int]]:
-    """Half-open index ranges [lo, hi) of the input points each segment
-    accounts for.  Raises InvariantError when the covered counts do not
-    add up to n."""
-    ranges: List[Tuple[int, int]] = []
-    idx = 0
-    for _, fresh in _walk(rep, n):
-        ranges.append((idx, idx + fresh))
-        idx += fresh
-    return ranges
-
-
 def _coords(traj: Sequence[Point]) -> np.ndarray:
     """The trajectory as an (n, 3) array of x, y, t rows."""
     flat = np.fromiter(
@@ -91,16 +60,29 @@ def _segment_distances(
 ) -> np.ndarray:
     """Distance from every input point to the line of the segment it maps
     to.  The walk assigns boundary samples to the earlier segment; they sit
-    on both lines, so the choice does not affect any metric."""
-    # One Python pass over the segments gathers their line parameters; the
-    # rest is whole-array numpy.  The length comes from math.hypot because
-    # np.hypot can differ from it in the last bit.
+    on both lines, so the choice does not affect any metric.  Raises
+    InvariantError when the covered counts do not add up to len(traj)."""
+    # One Python pass over the segments walks the covered counts and gathers
+    # their line parameters; the rest is whole-array numpy.  The length
+    # comes from math.hypot because np.hypot can differ from it in the last
+    # bit.
     table: List[float] = []
-    for seg, fresh in _walk(rep, len(traj)):
+    idx = 0
+    for i, seg in enumerate(rep.segments):
+        fresh = seg.covered if (i == 0 or seg.patched_start) else seg.covered - 1
+        if fresh < 0:
+            raise InvariantError(
+                f"segment {i} covers {seg.covered} points but shares its start"
+            )
+        idx += fresh
         start, end = seg.start, seg.end
         dx = end.x - start.x
         dy = end.y - start.y
         table += (fresh, start.x, start.y, dx, dy, math.hypot(dx, dy))
+    if idx != len(traj):
+        raise InvariantError(
+            f"covered counts consume {idx} points, input has {len(traj)}"
+        )
     cols = np.array(table, dtype=np.float64).reshape(-1, 6)
     counts = cols[:, 0].astype(np.intp)
     sx, sy, dx, dy, length = (np.repeat(cols[:, k], counts) for k in range(1, 6))
@@ -113,19 +95,6 @@ def _segment_distances(
     if flat.any():
         out[flat] = np.hypot(px[flat], py[flat])
     return out
-
-
-def average_error(rep: PiecewiseRepresentation, traj: Sequence[Point]) -> float:
-    """Mean distance of the input points to their mapped segment lines."""
-    if not traj:
-        raise ValueError("empty trajectory")
-    return float(np.mean(_segment_distances(rep, traj)))
-
-
-def max_error(rep: PiecewiseRepresentation, traj: Sequence[Point]) -> float:
-    if not traj:
-        raise ValueError("empty trajectory")
-    return float(np.max(_segment_distances(rep, traj)))
 
 
 def verify_error_bound(
@@ -143,15 +112,6 @@ def verify_error_bound(
     return (len(violations) == 0), violations
 
 
-def segment_histogram(reps: Sequence[PiecewiseRepresentation]) -> Dict[int, int]:
-    """How many output segments cover exactly k input points, per k."""
-    hist: Dict[int, int] = {}
-    for rep in reps:
-        for seg in rep.segments:
-            hist[seg.covered] = hist.get(seg.covered, 0) + 1
-    return dict(sorted(hist.items()))
-
-
 def compute_stats(
     reps: Sequence[PiecewiseRepresentation],
     trajs: Sequence[Sequence[Point]],
@@ -166,6 +126,7 @@ def compute_stats(
     err_max = 0.0
     anomalous = 0
     patched = 0
+    hist: Dict[int, int] = {}
     for rep, traj in zip(reps, trajs):
         dists = _segment_distances(rep, traj)
         total_pts += len(traj)
@@ -174,6 +135,8 @@ def compute_stats(
         err_max = max(err_max, float(np.max(dists)))
         anomalous += rep.anomalous_candidates
         patched += rep.patches
+        for seg in rep.segments:
+            hist[seg.covered] = hist.get(seg.covered, 0) + 1
     if total_pts == 0:
         raise ValueError("empty corpus")
     return CompressionStats(
@@ -185,5 +148,5 @@ def compute_stats(
         wall_time=wall_time,
         anomalous=anomalous,
         patched=patched,
-        histogram=segment_histogram(reps),
+        histogram=dict(sorted(hist.items())),
     )

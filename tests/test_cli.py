@@ -5,8 +5,14 @@ import json
 
 import pytest
 
-from trajsimp.cli import _parse_opts, main
-from trajsimp.io import OUTPUT_COLUMNS
+from trajsimp.cli import _KINDS, _parse_opts, main
+from trajsimp.datagen import (
+    figure_fixture,
+    gen_grid_route,
+    gen_random_walk,
+    gen_stepwise_adversarial,
+)
+from trajsimp.io import OUTPUT_COLUMNS, write_corpus
 
 
 @pytest.fixture()
@@ -42,6 +48,37 @@ class TestGen:
             rows = list(csv.reader(fh))
         assert rows[0] == ["traj_id", "t", "x", "y"]
         assert len(rows) == 51
+
+    # gen's kinds in --kind order, each with the call it must make for
+    # --n 12 --seed 1 --step 2.5 --epsilon 3
+    KIND_CALLS = [
+        ("random-walk", lambda: gen_random_walk(12, 1, 2.5)),
+        ("grid-route", lambda: gen_grid_route(12, 1, 2.5)),
+        ("stepwise", lambda: gen_stepwise_adversarial(12, 3.0)),
+        ("figure-route", lambda: figure_fixture("route")),
+        ("figure-corner", lambda: figure_fixture("corner")),
+    ]
+
+    def test_kinds_keep_their_order(self):
+        assert list(_KINDS) == [kind for kind, _ in self.KIND_CALLS]
+
+    @pytest.mark.parametrize("kind, call", KIND_CALLS, ids=[k for k, _ in KIND_CALLS])
+    def test_every_kind_writes_its_generator_output(self, kind, call, tmp_path):
+        out = tmp_path / "gen.csv"
+        ref = tmp_path / "ref.csv"
+        assert main(["gen", "--kind", kind, "--n", "12", "--seed", "1", "--step",
+                     "2.5", "--epsilon", "3", "--output", str(out)]) == 0
+        write_corpus({"0": call()}, str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["random-walk", "grid-route"])
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-5"])
+    def test_bad_step_exits_1(self, kind, step, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["gen", "--kind", kind, f"--step={step}", "--output", str(out)])
+        assert rc == 1
+        assert "error: step must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_kind_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["gen", "--kind", "spline", "--output", str(tmp_path / "x.csv")])

@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from trajsimp.baselines import dp_simplify, opw_simplify
 from trajsimp.datagen import (
-    KINDS,
-    GenSpec,
     SplitMix64,
     figure_fixture,
     gen_grid_route,
     gen_random_walk,
     gen_stepwise_adversarial,
-    generate,
     optimal_segments,
     stepwise_drift,
 )
@@ -47,29 +44,6 @@ class TestSplitMix64:
         assert all(-2.0 <= rng.uniform(-2.0, 5.0) < 5.0 for _ in range(100))
 
 
-class TestGenSpec:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown kind"):
-            GenSpec("zigzag", 10)
-
-    @pytest.mark.parametrize(
-        "kw",
-        [{"n": 0}, {"step": 0.0}, {"step": math.inf}, {"zeta": -1.0}],
-    )
-    def test_bad_numbers(self, kw):
-        base = {"kind": "random-walk", "n": 10}
-        base.update(kw)
-        with pytest.raises(ValueError):
-            GenSpec(**base)
-
-    def test_generate_dispatches_every_kind(self):
-        for kind in KINDS:
-            pts = generate(GenSpec(kind, 12, seed=1))
-            assert len(pts) >= 2
-        assert generate(GenSpec("random-walk", 12, seed=1)) == gen_random_walk(12, 1)
-        assert generate(GenSpec("figure-route", 12)) == figure_fixture("route")
-
-
 class TestWalkAndGrid:
     def test_deterministic_per_seed(self):
         assert gen_random_walk(50, 9) == gen_random_walk(50, 9)
@@ -83,6 +57,17 @@ class TestWalkAndGrid:
         assert [p.t for p in pts] == [float(i) for i in range(40)]
         for a, b in zip(pts, pts[1:]):
             assert math.hypot(b.x - a.x, b.y - a.y) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("gen", (gen_random_walk, gen_grid_route))
+    @pytest.mark.parametrize("step", (math.nan, math.inf, 0.0, -5.0))
+    def test_bad_step_raises(self, gen, step):
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            gen(3, 0, step=step)
+
+    @pytest.mark.parametrize("gen", (gen_random_walk, gen_grid_route))
+    def test_n_below_one_raises(self, gen):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            gen(0, 0)
 
     def test_grid_stays_on_the_lattice(self):
         # consecutive samples may jump diagonally where a corner sample was
@@ -123,8 +108,9 @@ class TestStepwise:
             gen_stepwise_adversarial(1)
         with pytest.raises(ValueError):
             gen_stepwise_adversarial(100_001)
-        with pytest.raises(ValueError):
-            gen_stepwise_adversarial(10, zeta=0.0)
+        for zeta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="zeta must be finite and > 0"):
+                gen_stepwise_adversarial(10, zeta=zeta)
 
     def test_drift_closed_form(self):
         assert stepwise_drift(2) == pytest.approx(math.pi / 12, abs=1e-15)

@@ -40,3 +40,39 @@ def test_demo_runs(demo, tmp_path):
 def test_every_public_name_resolves():
     missing = [name for name in trajsimp.__all__ if not hasattr(trajsimp, name)]
     assert missing == []
+
+
+def test_public_names_are_pinned():
+    # A name joining or leaving the public API is a deliberate edit here.
+    assert sorted(trajsimp.__all__) == [
+        "ALGORITHMS",
+        "CompressionStats",
+        "DataError",
+        "FitConfig",
+        "InvariantError",
+        "Mode",
+        "OperbEncoder",
+        "PiecewiseRepresentation",
+        "Point",
+        "RunConfig",
+        "Segment",
+        "SplitMix64",
+        "__version__",
+        "compress_corpus",
+        "compute_stats",
+        "dp_simplify",
+        "emit_segments",
+        "fbqs_simplify",
+        "figure_fixture",
+        "format_report",
+        "gen_grid_route",
+        "gen_random_walk",
+        "gen_stepwise_adversarial",
+        "ingest_csv",
+        "optimal_segments",
+        "opw_simplify",
+        "run_compare",
+        "simplify",
+        "verify_error_bound",
+        "write_corpus",
+    ]

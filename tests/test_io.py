@@ -125,7 +125,7 @@ class TestEmit:
         rep = simplify(traj, FitConfig(zeta=0.2), Mode.OPERB_A)
         rep.traj_id = "corner"
         out = tmp_path / "segs.csv"
-        assert emit_segments(rep, str(out)) == 2
+        assert emit_segments([rep], str(out)) == 2
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == list(OUTPUT_COLUMNS)
@@ -134,13 +134,13 @@ class TestEmit:
         assert [r["patched_start"] for r in rows] == ["false", "true"]
         assert rows[1]["st"] == "2.5" and rows[1]["covered"] == "3"
 
-    def test_accepts_a_single_rep_or_an_iterable(self, tmp_path):
+    def test_accepts_any_iterable_of_reps(self, tmp_path):
         traj = [Point(0, 0, 0), Point(1, 0, 1)]
         rep = simplify(traj, FitConfig(zeta=1.0))
         one = tmp_path / "one.csv"
         many = tmp_path / "many.csv"
-        assert emit_segments(rep, str(one)) == 1
-        assert emit_segments([rep, rep], str(many)) == 2
+        assert emit_segments([rep], str(one)) == 1
+        assert emit_segments((r for r in (rep, rep)), str(many)) == 2
 
     def test_round_trip_preserves_nine_significant_digits(self, tmp_path):
         corpus = {"w": gen_random_walk(200, seed=12)}
@@ -156,8 +156,8 @@ class TestEmit:
     def test_emitted_files_are_byte_stable(self, tmp_path):
         rep = simplify(gen_random_walk(300, seed=4), FitConfig(zeta=10.0))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_segments(rep, str(a))
-        emit_segments(rep, str(b))
+        emit_segments([rep], str(a))
+        emit_segments([rep], str(b))
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
 

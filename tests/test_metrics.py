@@ -11,11 +11,8 @@ from trajsimp.geometry import Point
 from trajsimp.metrics import (
     BOUND_SLACK,
     CompressionStats,
-    average_error,
+    _segment_distances,
     compute_stats,
-    max_error,
-    point_mapping,
-    segment_histogram,
     verify_error_bound,
 )
 from trajsimp.onepass import PiecewiseRepresentation, Segment
@@ -29,67 +26,80 @@ def rep_of(*segs, **kw):
     return PiecewiseRepresentation(list(segs), **kw)
 
 
-class TestPointMapping:
+class TestCoveredCountWalk:
+    """Each trajectory point lies at a different distance from every
+    segment's line, so the distances pin which segment each point maps
+    to: a wrong split changes at least one of them."""
+
     def test_interior_segments_share_their_start(self):
         rep = rep_of(
             Segment(P(0, 0), P(2, 0), 3),
             Segment(P(2, 0), P(3, 1), 2),
             Segment(P(3, 1), P(3, 3), 3),
         )
-        assert point_mapping(rep, 6) == [(0, 3), (3, 4), (4, 6)]
+        traj = [P(0, 0, 0), P(1, 1, 1), P(2, 2, 2), P(3, 0, 3), P(4, 3, 4), P(3, 3, 5)]
+        # points 0-2 on y = 0, point 3 on y = x - 2, points 4-5 on x = 3
+        assert _segment_distances(rep, traj) == pytest.approx(
+            [0.0, 1.0, 2.0, math.sqrt(0.5), 1.0, 0.0]
+        )
 
     def test_patched_start_keeps_full_credit(self):
         rep = rep_of(
             Segment(P(0, 0), P(3, 0), 3),
             Segment(P(3, 0), P(3, 3), 3, patched_start=True),
         )
-        assert point_mapping(rep, 6) == [(0, 3), (3, 6)]
+        traj = [P(0, 0, 0), P(1, 1, 1), P(2, 2, 2), P(3, 2, 3), P(4, 2, 4), P(2, 3, 5)]
+        # points 0-2 on y = 0, points 3-5 on x = 3
+        assert _segment_distances(rep, traj) == pytest.approx(
+            [0.0, 1.0, 2.0, 0.0, 1.0, 1.0]
+        )
 
     def test_wrong_total_raises(self):
         rep = rep_of(Segment(P(0, 0), P(1, 0), 2), Segment(P(1, 0), P(2, 0), 2))
-        with pytest.raises(InvariantError, match="consume 3 points"):
-            point_mapping(rep, 5)
+        traj = [P(float(i), 0.0, float(i)) for i in range(5)]
+        with pytest.raises(InvariantError, match="consume 3 points, input has 5"):
+            verify_error_bound(rep, traj, 1.0)
 
     def test_negative_share_raises(self):
         rep = rep_of(Segment(P(0, 0), P(1, 0), 2), Segment(P(1, 0), P(2, 0), 0))
-        with pytest.raises(InvariantError):
-            point_mapping(rep, 2)
+        traj = [P(0, 0, 0), P(1, 0, 1)]
+        with pytest.raises(InvariantError, match="covers 0 points but shares its start"):
+            verify_error_bound(rep, traj, 1.0)
 
 
 class TestErrors:
     def test_average_and_max_on_the_tent(self):
         rep = dp_simplify(TENT, 1.5)
         assert len(rep) == 1
-        assert average_error(rep, TENT) == pytest.approx(1.0 / 3.0)
-        assert max_error(rep, TENT) == pytest.approx(1.0)
+        stats = compute_stats([rep], [TENT])
+        assert stats.avg_error == pytest.approx(1.0 / 3.0)
+        assert stats.max_error == pytest.approx(1.0)
 
     def test_zero_length_segment_measures_radially(self):
         traj = [P(0, 0, 0), P(3, 4, 1)]
         rep = rep_of(Segment(P(0, 0, 0), P(0, 0, 0), 2))
-        assert max_error(rep, traj) == pytest.approx(5.0)
+        assert _segment_distances(rep, traj) == pytest.approx([0.0, 5.0])
 
     def test_zero_length_segment_off_the_origin(self):
         traj = [P(1, 1, 0), P(4, 5, 1)]
         rep = rep_of(Segment(P(1, 1, 0), P(1, 1, 0), 2))
-        assert max_error(rep, traj) == pytest.approx(5.0)
+        assert _segment_distances(rep, traj) == pytest.approx([0.0, 5.0])
 
     def test_distance_to_an_oblique_line(self):
         traj = [P(0, 0, 0), P(0, 5, 1), P(3, 4, 2)]
         rep = rep_of(Segment(traj[0], traj[2], 3))
-        assert max_error(rep, traj) == pytest.approx(3.0)
+        assert _segment_distances(rep, traj) == pytest.approx([0.0, 3.0, 0.0])
 
     def test_distance_is_to_the_line_not_the_segment(self):
         # the foot of the perpendicular lies beyond the segment end
         traj = [P(0, 0, 0), P(10, 2, 1), P(1, 0, 2)]
         rep = rep_of(Segment(traj[0], traj[2], 3))
-        assert max_error(rep, traj) == pytest.approx(2.0)
+        assert _segment_distances(rep, traj) == pytest.approx([0.0, 2.0, 0.0])
 
     def test_empty_trajectory_raises(self):
         rep = rep_of(Segment(P(0, 0), P(1, 0), 2))
-        with pytest.raises(ValueError):
-            average_error(rep, [])
-        with pytest.raises(ValueError):
-            max_error(rep, [])
+        with pytest.raises(InvariantError, match="consume 2 points, input has 0"):
+            compute_stats([rep], [[]])
 
 
 coords = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
@@ -98,9 +108,8 @@ seg_lengths = st.floats(min_value=1.0, max_value=1000.0, allow_nan=False)
 
 
 def _probe_distance(a, b, p):
-    """Distance max_error measures from p to the line through a and b; a
-    and b themselves lie on that line exactly."""
-    return max_error(rep_of(Segment(a, b, 3)), [a, p, b])
+    """Distance the metrics measure from p to the line through a and b."""
+    return float(_segment_distances(rep_of(Segment(a, b, 3)), [a, p, b])[1])
 
 
 def _polar_ends(ax, ay, theta, length):
@@ -186,11 +195,13 @@ class TestCorpusStats:
 
     def test_segment_histogram_merges_and_sorts(self):
         reps = [
-            rep_of(Segment(P(0, 0), P(1, 0), 2), Segment(P(1, 0), P(2, 0), 3)),
+            rep_of(Segment(P(0, 0), P(2, 0), 3), Segment(P(2, 0), P(3, 0), 2)),
             rep_of(Segment(P(0, 0), P(1, 0), 2)),
         ]
-        assert segment_histogram(reps) == {2: 2, 3: 1}
-        assert list(segment_histogram(reps)) == [2, 3]
+        trajs = [[P(float(i), 0.0, float(i)) for i in range(n)] for n in (4, 2)]
+        histogram = compute_stats(reps, trajs).histogram
+        assert histogram == {2: 2, 3: 1}
+        assert list(histogram) == [2, 3]
 
     def test_patching_ratio_defaults_to_zero(self):
         stats = CompressionStats(10, 5, 0.5, 0.0, 0.0)

@@ -14,7 +14,7 @@ from trajsimp.datagen import SplitMix64, gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
 from trajsimp.fitting import K_CAP_LIMIT, FitConfig
 from trajsimp.geometry import TWO_PI, Point
-from trajsimp.metrics import point_mapping, verify_error_bound
+from trajsimp.metrics import _segment_distances, verify_error_bound
 from trajsimp.onepass import (
     Mode,
     OperbEncoder,
@@ -140,7 +140,7 @@ class TestKCapAndAbsorption:
             (0.0, 0.0, 4),
             (0.0, 4.0, 2),
         ]
-        assert point_mapping(rep, 5) == [(0, 4), (4, 5)]
+        assert len(_segment_distances(rep, traj)) == 5
 
 
 class TestTryPatch:
@@ -558,8 +558,7 @@ def test_output_is_a_connected_chain_consuming_all_points(traj, opts, zeta, mode
     for a, b in zip(segs, segs[1:]):
         assert a.end == b.start
     # the walk over covered counts must consume exactly the input
-    ranges = point_mapping(rep, len(traj))
-    assert ranges[-1][1] == len(traj)
+    assert len(_segment_distances(rep, traj)) == len(traj)
 
 
 @settings(max_examples=60)

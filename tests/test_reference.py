@@ -6,9 +6,10 @@ code they replaced.
 measures every point with whole-array numpy.  ``opw_simplify`` tests a
 block of window ends per numpy pass, and ``HullState`` clips a quadrant's
 polygon only when a cheap bound cannot settle a query.  The references
-below are the earlier ``DictReader`` ingest, per-segment distance loop,
-one-end-per-pass OPW and rebuild-every-query hull, kept here verbatim in
-behaviour: the fast paths must give the same corpus (values and key order),
+below are the earlier ``DictReader`` ingest, per-segment distance loop
+(with its own walk of the covered counts, sharing no code with the one it
+checks), one-end-per-pass OPW and rebuild-every-query hull, kept here
+verbatim in behaviour: the fast paths must give the same corpus (values and key order),
 the same error messages, bit-identical distances and hull vertices, the
 same hull decisions, and the same segments.
 """
@@ -31,7 +32,7 @@ from trajsimp.fitting import FitConfig
 from trajsimp.geometry import Point
 from trajsimp.harness import ALGORITHMS
 from trajsimp.io import INPUT_COLUMNS, ingest_csv
-from trajsimp.metrics import _segment_distances, point_mapping
+from trajsimp.metrics import _segment_distances
 from trajsimp.onepass import PiecewiseRepresentation, Segment
 
 # -- references --------------------------------------------------------------
@@ -78,11 +79,21 @@ def reference_ingest(path):
 
 
 def reference_distances(traj, rep):
-    """The per-segment distance loop."""
+    """The per-segment distance loop, over its own covered-count walk: the
+    first segment and a patched start own every point they cover, and any
+    other segment shares its first point with the segment before it."""
     xs = np.fromiter((p.x for p in traj), dtype=np.float64, count=len(traj))
     ys = np.fromiter((p.y for p in traj), dtype=np.float64, count=len(traj))
     out = np.zeros(len(xs))
-    for (lo, hi), seg in zip(point_mapping(rep, len(xs)), rep.segments):
+    hi = 0
+    for i, seg in enumerate(rep.segments):
+        lo = hi
+        shared = 0 if i == 0 or seg.patched_start else 1
+        if seg.covered < shared:
+            raise InvariantError(
+                f"segment {i} covers {seg.covered} points but shares its start"
+            )
+        hi = lo + seg.covered - shared
         if lo == hi:
             continue
         dx = seg.end.x - seg.start.x
@@ -94,6 +105,8 @@ def reference_distances(traj, rep):
             out[lo:hi] = np.hypot(px, py)
         else:
             out[lo:hi] = np.abs(dx * py - dy * px) / length
+    if hi != len(xs):
+        raise InvariantError(f"covered counts consume {hi} points, input has {len(xs)}")
     return out
 
 
