@@ -13,6 +13,7 @@ import sys
 from math import pi
 
 from .datagen import (
+    STEPWISE_MAX_K,
     figure_fixture,
     gen_grid_route,
     gen_random_walk,
@@ -24,11 +25,18 @@ from .io import emit_segments, ingest_csv, write_corpus
 from .metrics import compute_stats, verify_error_bound
 
 
+def _gen_stepwise(a):
+    # --n is the spiral's step count k; name the flag, not the parameter.
+    if not 2 <= a.n <= STEPWISE_MAX_K:
+        raise ValueError(f"--n must be in [2, {STEPWISE_MAX_K}] for stepwise")
+    return gen_stepwise_adversarial(a.n, a.epsilon)
+
+
 # gen's kinds; each reads only the flags it uses.
 _KINDS = {
     "random-walk": lambda a: gen_random_walk(a.n, a.seed, a.step),
     "grid-route": lambda a: gen_grid_route(a.n, a.seed, a.step),
-    "stepwise": lambda a: gen_stepwise_adversarial(a.n, a.epsilon),
+    "stepwise": _gen_stepwise,
     "figure-route": lambda a: figure_fixture("route"),
     "figure-corner": lambda a: figure_fixture("corner"),
 }

@@ -101,6 +101,9 @@ def gen_grid_route(n: int, seed: int, step: float = 5.0) -> List[Point]:
     return pts
 
 
+STEPWISE_MAX_K = 100_000
+
+
 def gen_stepwise_adversarial(k: int, zeta: float = 1.0) -> List[Point]:
     """Worst-case spiral for the fitting update: point i sits at radius
     i * zeta / 2, bearing arcsin(1/i) past the previous fitted direction,
@@ -114,8 +117,8 @@ def gen_stepwise_adversarial(k: int, zeta: float = 1.0) -> List[Point]:
     the cumulative drift by under 1e-8 of a radian while the radii stay
     exactly i * zeta / 2, so zone indices are unaffected.
     """
-    if not 2 <= k <= 100_000:
-        raise ValueError("k must be in [2, 100000]")
+    if not 2 <= k <= STEPWISE_MAX_K:
+        raise ValueError(f"k must be in [2, {STEPWISE_MAX_K}]")
     check_zeta(zeta)
     inset = 1.0 - 1e-8
     half = zeta / 2.0

@@ -13,6 +13,8 @@ across runs and platforms.
 
 import csv
 import math
+from array import array
+from itertools import repeat
 from typing import Dict, Iterable, List
 
 from .errors import DataError
@@ -33,6 +35,12 @@ OUTPUT_COLUMNS = (
     "patched_start",
 )
 
+# Rows a trajectory stages before they become Points.  Building a run of
+# one trajectory's Points at once keeps them, and their floats, together on
+# the heap even when the feed interleaves vehicles; a larger run adds to
+# peak memory, since freed staging arrays stay in the malloc heap.
+_RUN = 256
+
 
 def ingest_csv(path: str, geo: bool = False) -> Dict[str, List[Point]]:
     """Load a corpus keyed by traj_id, in order of first appearance.
@@ -42,6 +50,7 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, List[Point]]:
     """
     corpus: Dict[str, List[Point]] = {}
     last_t: Dict[str, float] = {}
+    staged: Dict[str, array] = {}  # x, y, t of rows not yet in corpus
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -59,7 +68,7 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, List[Point]]:
         i_id, i_t, i_x, i_y = (col[name] for name in INPUT_COLUMNS)
         width = len(header)
         isfinite = math.isfinite
-        new_point = tuple.__new__  # equal Points, minus NamedTuple's Python __new__
+        full = 3 * _RUN
 
         def bad_row(problem: str) -> DataError:
             # Physical line numbers, blank lines included, as editors show.
@@ -84,6 +93,7 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, List[Point]]:
             prev = last_t.get(traj_id)
             if prev is None:
                 corpus[traj_id] = []
+                staged[traj_id] = array("d")
             elif t == prev:
                 continue
             elif t < prev:
@@ -92,12 +102,25 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, List[Point]]:
                     f"from {prev!r}"
                 )
             last_t[traj_id] = t
-            corpus[traj_id].append(new_point(Point, (x, y, t)))
+            buf = staged[traj_id]
+            buf.fromlist([x, y, t])
+            if len(buf) == full:
+                _build(corpus[traj_id], buf)
     if not corpus:
         raise DataError(f"{path}: no data rows")
+    for traj_id, buf in staged.items():
+        _build(corpus[traj_id], buf)
     if geo:
         corpus = {tid: project_equirectangular(pts) for tid, pts in corpus.items()}
     return corpus
+
+
+def _build(pts: List[Point], buf: array) -> None:
+    """Append buf's x, y, t triples to pts as Points and empty buf."""
+    it = iter(buf)
+    # tuple.__new__ gives equal Points without NamedTuple's Python __new__.
+    pts.extend(map(tuple.__new__, repeat(Point), zip(it, it, it)))
+    del buf[:]
 
 
 def _fmt(v: float) -> str:

@@ -132,7 +132,8 @@ def compute_stats(
         total_pts += len(traj)
         total_segs += len(rep.segments)
         err_sum += float(np.sum(dists))
-        err_max = max(err_max, float(np.max(dists)))
+        if len(dists):  # np.max has no identity; an empty pair adds nothing
+            err_max = max(err_max, float(np.max(dists)))
         anomalous += rep.anomalous_candidates
         patched += rep.patches
         for seg in rep.segments:

@@ -80,6 +80,14 @@ class TestGen:
         assert "error: step must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["1", "100001"])
+    def test_stepwise_n_out_of_range_names_the_flag(self, n, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["gen", "--kind", "stepwise", "--n", n, "--output", str(out)])
+        assert rc == 1
+        assert "error: --n must be in [2, 100000]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_kind_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["gen", "--kind", "spline", "--output", str(tmp_path / "x.csv")])
         assert rc == 1

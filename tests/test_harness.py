@@ -92,6 +92,13 @@ class TestRunCompare:
             assert all(isinstance(k, str) for k in entry["histogram"])
             assert entry["wall_time"] >= 0.0
 
+    def test_reports_ingest_time_outside_the_results(self, corpus_path):
+        cfg = RunConfig(input=corpus_path, algorithms=("operb",), zeta_list=(20.0,))
+        report = run_compare(cfg)
+        ingest_s = report["corpus"]["ingest_s"]
+        assert isinstance(ingest_s, float) and ingest_s >= 0.0
+        assert "ingest_s" not in report["results"][0]
+
     def test_written_json_round_trips_to_the_return_value(self, corpus_path, tmp_path):
         out = tmp_path / "r.json"
         cfg = RunConfig(
@@ -105,9 +112,11 @@ class TestRunCompare:
             assert json.load(fh) == report
 
     def test_deterministic_apart_from_wall_time(self, corpus_path):
+        # ... and apart from the corpus's ingest_s, the other timing.
         cfg = RunConfig(input=corpus_path, algorithms=("fbqs", "operb"))
 
         def strip(report):
+            report["corpus"].pop("ingest_s")
             for entry in report["results"]:
                 entry.pop("wall_time")
             return report

@@ -12,6 +12,7 @@ from trajsimp.fitting import FitConfig
 from trajsimp.geometry import M_PER_DEG_LAT, Point
 from trajsimp.harness import ALGORITHMS, compress_corpus
 from trajsimp.io import (
+    _RUN,
     INPUT_COLUMNS,
     OUTPUT_COLUMNS,
     emit_segments,
@@ -114,6 +115,69 @@ class TestIngest:
         assert corpus["a"][0] == Point(0.0, 0.0, 0.0)
         assert corpus["a"][1].y == pytest.approx(0.01 * M_PER_DEG_LAT)
         assert corpus["a"][1].x == pytest.approx(0.0, abs=1e-9)
+
+
+class TestRowOrder:
+    """Ingest stages each trajectory's rows and builds their Points in runs
+    of _RUN; neither the runs nor the order of the rows may show."""
+
+    # Signed zeros and subnormals, which must keep their sign and value.
+    ODD = (-0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308)
+
+    def rows(self):
+        """(traj_id, t, x, y) of three 1,000-row trajectories and a 1-row one."""
+        rows = []
+        for k in range(3):
+            for i in range(1000):
+                x = self.ODD[i % 5] if i % 2 else k * 1000 + i / 3
+                y = self.ODD[(i + k) % 5] if i % 3 == 0 else -i / 7
+                rows.append((f"v{k}", i + k / 4, x, y))
+        rows.append(("solo", 500.5, -0.0, 5e-324))
+        return rows
+
+    @staticmethod
+    def write_rows(tmp_path, name, rows):
+        lines = [",".join(INPUT_COLUMNS)]
+        lines += [f"{tid},{t!r},{x!r},{y!r}" for tid, t, x, y in rows]
+        return write(tmp_path, "\n".join(lines) + "\n", name)
+
+    def test_grouped_and_interleaved_rows_give_the_same_corpus(self, tmp_path):
+        rows = self.rows()
+        grouped = ingest_csv(self.write_rows(tmp_path, "grouped.csv", rows))
+        feed = sorted(rows, key=lambda r: r[1])
+        interleaved = ingest_csv(self.write_rows(tmp_path, "feed.csv", feed))
+        assert grouped == interleaved
+        assert list(grouped) == list(interleaved) == ["v0", "v1", "v2", "solo"]
+        for corpus in (grouped, interleaved):
+            assert [len(pts) for pts in corpus.values()] == [1000, 1000, 1000, 1]
+            got = [p for pts in corpus.values() for p in pts]
+            assert all(type(p) is Point for p in got)
+            for p, (_, t, x, y) in zip(got, rows):
+                assert (p.x, p.y, p.t) == (x, y, t)
+                assert math.copysign(1.0, p.x) == math.copysign(1.0, x)
+                assert math.copysign(1.0, p.y) == math.copysign(1.0, y)
+        out = tmp_path / "segs.csv"
+        for algo in sorted(ALGORITHMS):
+            emitted = []
+            for corpus in (grouped, interleaved):
+                reps = compress_corpus(corpus, algo, FitConfig(10.0))
+                emit_segments(reps.values(), str(out))
+                emitted.append(out.read_bytes())
+            assert emitted[0] == emitted[1], algo
+
+    def run_then(self, tmp_path, t):
+        """A run of rows that fills one staging run exactly, then a row at t."""
+        rows = [("a", float(i), float(i), 0.0) for i in range(_RUN)]
+        return self.write_rows(tmp_path, "run.csv", rows + [("a", t, -1.0, -1.0)])
+
+    def test_duplicate_right_after_a_run_is_dropped(self, tmp_path):
+        pts = ingest_csv(self.run_then(tmp_path, _RUN - 1.0))["a"]
+        assert pts == [Point(float(i), 0.0, float(i)) for i in range(_RUN)]
+
+    def test_backwards_right_after_a_run_names_its_line(self, tmp_path):
+        # Header on line 1, the run on lines 2 .. _RUN + 1.
+        with pytest.raises(DataError, match=f"row {_RUN + 2}: .* goes backwards"):
+            ingest_csv(self.run_then(tmp_path, _RUN - 1.5))
 
 
 class TestEmit:

@@ -226,6 +226,14 @@ class TestCorpusStats:
         assert stats.anomalous == 1
         assert stats.histogram == {2: 1, 3: 1}
 
+    def test_empty_trajectory_with_empty_rep_adds_nothing(self):
+        two = [P(0, 0, 0), P(1, 0, 1)]
+        rep = dp_simplify(two, 1.0)
+        empty = rep_of()
+        assert compute_stats([empty, rep], [[], two]) == compute_stats([rep], [two])
+        with pytest.raises(ValueError, match="empty corpus"):
+            compute_stats([empty, empty], [[], []])
+
     def test_compute_stats_requires_pairing(self):
         with pytest.raises(ValueError):
             compute_stats([dp_simplify(TENT, 1.5)], [])
