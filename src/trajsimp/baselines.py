@@ -11,29 +11,31 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .fitting import check_zeta
-from .geometry import Point
+from .geometry import Point, columns
 from .onepass import PiecewiseRepresentation, Segment
 
+Columns = Tuple[List[float], List[float], List[float]]
 
-def _points(traj: Sequence[Point], zeta: float) -> List[Point]:
-    """traj as a list; a single point leaves every loop as one (p0, p0).
 
-    The loops read coordinates by index, so a point may also be a plain
-    (x, y, t) tuple or list; ``_finalize`` turns the segment ends into
-    Points."""
+def _columns(traj: Sequence[Point], zeta: float) -> Columns:
+    """x, y and t of traj as lists; a single point leaves every loop as
+    one (p0, p0).
+
+    A point may be a Point, a plain (x, y, t) tuple or list, or a row of
+    a trajectory view; ``_finalize`` builds the segment ends as Points."""
     check_zeta(zeta)
-    pts = list(traj)
-    if not pts:
+    cols = columns(traj)
+    if not cols[0]:
         raise ValueError("need at least one point")
-    return pts
+    return cols
 
 
-def _point(p) -> Point:
-    return p if type(p) is Point else Point._make(p)
-
-
-def _finalize(pts: Sequence[Point], bounds: List[Tuple[int, int]]) -> PiecewiseRepresentation:
-    segs = [Segment(_point(pts[i]), _point(pts[j]), j - i + 1) for i, j in bounds]
+def _finalize(cols: Columns, bounds: List[Tuple[int, int]]) -> PiecewiseRepresentation:
+    xs, ys, ts = cols
+    segs = [
+        Segment(Point(xs[i], ys[i], ts[i]), Point(xs[j], ys[j], ts[j]), j - i + 1)
+        for i, j in bounds
+    ]
     anomalous = sum(1 for s in segs if s.covered == 2)
     return PiecewiseRepresentation(segs, anomalous_candidates=anomalous)
 
@@ -48,11 +50,10 @@ def dp_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     execution model. A chord of zero length (identical endpoints) falls
     back to radial distances from the shared point.
     """
-    pts = _points(traj, zeta)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    cols = _columns(traj, zeta)
+    xs, ys, _ = cols
     bounds: List[Tuple[int, int]] = []
-    stack = [(0, len(pts) - 1)]
+    stack = [(0, len(xs) - 1)]
     while stack:
         i, j = stack.pop()
         if j - i < 2:
@@ -87,7 +88,7 @@ def dp_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
             continue
         stack.append((split, j))
         stack.append((i, split))
-    return _finalize(pts, bounds)
+    return _finalize(cols, bounds)
 
 
 # Window ends opw_simplify tests per numpy pass, and the cap on ends x
@@ -121,10 +122,10 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     chord length, |cross| / length, radial np.hypot for a zero-length
     chord, NaN counting as a violation), so the segments are the same.
     """
-    pts = _points(traj, zeta)
-    n = len(pts)
-    xs = np.fromiter((p[0] for p in pts), dtype=np.float64, count=n)
-    ys = np.fromiter((p[1] for p in pts), dtype=np.float64, count=n)
+    cols = _columns(traj, zeta)
+    n = len(cols[0])
+    xs = np.array(cols[0], dtype=np.float64)
+    ys = np.array(cols[1], dtype=np.float64)
     bounds: List[Tuple[int, int]] = []
     s = 0
     k = 2  # the first end with an interior point
@@ -157,7 +158,7 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
         s = end - 1
         k = end + 1
     bounds.append((s, n - 1))
-    return _finalize(pts, bounds)
+    return _finalize(cols, bounds)
 
 
 _HALF_PI = 0.5 * math.pi
@@ -368,19 +369,21 @@ def fbqs_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation
     a quadrant's polygon is clipped only when neither bound settles it, so
     a window along a straight line, where the box bound fails, clips
     almost nothing."""
-    pts = _points(traj, zeta)
-    n = len(pts)
+    cols = _columns(traj, zeta)
+    xs, ys, _ = cols
+    n = len(xs)
     bounds: List[Tuple[int, int]] = []
     s = 0
-    ax, ay = pts[0][0], pts[0][1]
+    ax, ay = xs[0], ys[0]
     hull = HullState()
     for k in range(1, n):
-        p = pts[k]
-        if hull.exceeds(p[0] - ax, p[1] - ay, zeta):
+        px = xs[k]
+        py = ys[k]
+        if hull.exceeds(px - ax, py - ay, zeta):
             bounds.append((s, k - 1))
             s = k - 1
-            ax, ay = pts[s][0], pts[s][1]
+            ax, ay = xs[s], ys[s]
             hull = HullState()
-        hull.add(p[0] - ax, p[1] - ay)
+        hull.add(px - ax, py - ay)
     bounds.append((s, n - 1))
-    return _finalize(pts, bounds)
+    return _finalize(cols, bounds)

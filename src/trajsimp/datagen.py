@@ -6,12 +6,12 @@ platforms and Python versions; nothing here touches the stdlib RNG.
 
 import math
 from importlib import resources
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
 from .fitting import check_zeta
-from .geometry import Point
+from .geometry import Point, columns, iter_points
 from .io import ingest_csv
 
 _MASK64 = (1 << 64) - 1
@@ -144,14 +144,15 @@ def figure_fixture(name: str) -> List[Point]:
     if name not in ("route", "corner"):
         raise ValueError("name must be 'route' or 'corner'")
     path = resources.files("trajsimp").joinpath(f"data/figure_{name}.csv")
-    return ingest_csv(str(path))[name]
+    return list(iter_points(ingest_csv(str(path))[name]))
 
 
-def optimal_segments(traj: List[Point], zeta: float) -> int:
+def optimal_segments(traj: Sequence[Point], zeta: float) -> int:
     """Fewest segments over all representations whose endpoints are input
     samples, each span staying within zeta of its chord.  Exact via
     shortest path on the span-validity graph; quadratic memory, so capped
-    at 2000 points.  A point may also be a plain (x, y, t) tuple or list."""
+    at 2000 points.  traj may also hold plain (x, y, t) tuples or lists, or
+    be a trajectory view."""
     n = len(traj)
     if n > 2000:
         raise ValueError("optimal_segments is O(n^2) per anchor, n capped at 2000")
@@ -160,8 +161,9 @@ def optimal_segments(traj: List[Point], zeta: float) -> int:
     check_zeta(zeta)
     if n <= 2:
         return 1
-    xs = np.fromiter((p[0] for p in traj), dtype=np.float64, count=n)
-    ys = np.fromiter((p[1] for p in traj), dtype=np.float64, count=n)
+    xs, ys, _ = columns(traj)
+    xs = np.array(xs, dtype=np.float64)
+    ys = np.array(ys, dtype=np.float64)
 
     dist = np.full(n, -1, dtype=np.int64)
     dist[0] = 0

@@ -1,8 +1,20 @@
 """Planar primitives shared by every simplification algorithm: the point
-type, the bearing fold and the projection of lon/lat rows to metres."""
+type, the trajectory buffer and its readers, the bearing fold and the
+projection of lon/lat rows to metres.
+
+A trajectory is a sequence of (x, y, t) points (``Point``s, plain tuples
+or lists) or, as ``ingest_csv`` returns it, a *trajectory view*: an
+``(n, 3)`` float64 ``memoryview`` of x, y, t rows over one ``array("d")``,
+with ``len(view) == n``.  A view holds 24 bytes per row and no object per
+row; read it with ``view.tolist()``, ``np.asarray(view)`` (no copy) or
+``view[i, 0]``.  The readers below take either form, so each layer reads a
+trajectory in the form it needs.
+"""
 
 import math
-from typing import NamedTuple, Sequence, Tuple
+from array import array
+from itertools import chain, repeat
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -17,6 +29,41 @@ class Point(NamedTuple):
     t: float = 0.0
 
 
+def rows_view(buf: array) -> memoryview:
+    """The trajectory view over buf, an array("d") of x, y, t triples
+    holding at least one row."""
+    return memoryview(buf).cast("B").cast("d", (len(buf) // 3, 3))
+
+
+def _flat(view: memoryview) -> memoryview:
+    """A trajectory view as one flat run of x, y, t values."""
+    return view.cast("B").cast("d")
+
+
+def iter_points(traj: Sequence[Point]) -> Iterator[Point]:
+    """traj's points in order, each read once.
+
+    A list or tuple is read by index and any other iterable as it streams;
+    a view's rows become Points built in C as they are read.
+    """
+    if isinstance(traj, memoryview):
+        it = iter(_flat(traj))
+        # tuple.__new__ gives equal Points without NamedTuple's Python __new__.
+        return map(tuple.__new__, repeat(Point), zip(it, it, it))
+    if isinstance(traj, (list, tuple)):
+        return map(traj.__getitem__, range(len(traj)))
+    return iter(traj)
+
+
+def columns(traj: Sequence[Point]) -> Tuple[List[float], List[float], List[float]]:
+    """x, y and t of traj as three lists."""
+    if isinstance(traj, memoryview):
+        flat = _flat(traj)
+        return flat[0::3].tolist(), flat[1::3].tolist(), flat[2::3].tolist()
+    pts = list(traj)
+    return [p[0] for p in pts], [p[1] for p in pts], [p[2] for p in pts]
+
+
 def norm_angle(theta: float) -> float:
     """Fold an angle into [0, 2*pi)."""
     theta = math.fmod(theta, TWO_PI)
@@ -29,16 +76,21 @@ def norm_angle(theta: float) -> float:
     return theta
 
 
-def project_equirectangular(
-    points: Sequence[Tuple[float, float, float]]
-) -> list:
+def project_equirectangular(points: Sequence[Tuple[float, float, float]]):
     """Map (lon, lat, t) rows to local metres about the first point.
 
     x grows east (scaled by cos of the reference latitude), y grows north.
+    A trajectory view gives a view over new rows; any other sequence gives
+    a list of Points.
     """
-    if not points:
+    if not len(points):
         return []
-    lon0, lat0 = points[0][0], points[0][1]
+    lons, lats, ts = columns(points)
+    lon0, lat0 = lons[0], lats[0]
     kx = M_PER_DEG_LON * math.cos(math.radians(lat0))
     ky = M_PER_DEG_LAT
-    return [Point((lon - lon0) * kx, (lat - lat0) * ky, t) for lon, lat, t in points]
+    xs = [(lon - lon0) * kx for lon in lons]
+    ys = [(lat - lat0) * ky for lat in lats]
+    if isinstance(points, memoryview):
+        return rows_view(array("d", chain.from_iterable(zip(xs, ys, ts))))
+    return list(map(Point, xs, ys, ts))

@@ -8,7 +8,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from math import pi
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .baselines import dp_simplify, fbqs_simplify, opw_simplify
 from .fitting import K_CAP_LIMIT, FitConfig
@@ -63,7 +63,7 @@ class RunConfig:
 
 
 def compress_corpus(
-    corpus: Dict[str, List[Point]],
+    corpus: Dict[str, Sequence[Point]],
     algo: str,
     cfg: FitConfig,
 ) -> Dict[str, PiecewiseRepresentation]:

@@ -6,6 +6,12 @@ that repeat the previous timestamp of their trajectory are dropped
 (first occurrence wins); a decrease, a non-finite t/x/y or a wrong field
 count is a hard error naming the line.  Blank lines are skipped.
 
+``ingest_csv`` keeps each trajectory as one flat float64 buffer and
+returns it as a trajectory view (see ``geometry``): an ``(n, 3)``
+``memoryview`` of x, y, t rows, 24 bytes per row and no object per row.
+``view.tolist()`` gives the rows as lists, ``np.asarray(view)`` an array
+over the same memory, and ``view[i, 0]`` the x of row i.
+
 Output schema: ``traj_id,seg_index,sx,sy,st,ex,ey,et,covered,patched_start``
 with floats printed to 9 significant digits, so files are byte-stable
 across runs and platforms.
@@ -14,11 +20,10 @@ across runs and platforms.
 import csv
 import math
 from array import array
-from itertools import repeat
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, Sequence
 
 from .errors import DataError
-from .geometry import Point, project_equirectangular
+from .geometry import Point, columns, project_equirectangular, rows_view
 from .onepass import PiecewiseRepresentation
 
 INPUT_COLUMNS = ("traj_id", "t", "x", "y")
@@ -35,22 +40,15 @@ OUTPUT_COLUMNS = (
     "patched_start",
 )
 
-# Rows a trajectory stages before they become Points.  Building a run of
-# one trajectory's Points at once keeps them, and their floats, together on
-# the heap even when the feed interleaves vehicles; a larger run adds to
-# peak memory, since freed staging arrays stay in the malloc heap.
-_RUN = 256
 
-
-def ingest_csv(path: str, geo: bool = False) -> Dict[str, List[Point]]:
-    """Load a corpus keyed by traj_id, in order of first appearance.
+def ingest_csv(path: str, geo: bool = False) -> Dict[str, memoryview]:
+    """Load a corpus keyed by traj_id, in order of first appearance; each
+    trajectory is an (n, 3) float64 view of its x, y, t rows.
 
     With geo=True, x is longitude and y latitude in degrees; each
     trajectory is projected to metres about its own first point.
     """
-    corpus: Dict[str, List[Point]] = {}
-    last_t: Dict[str, float] = {}
-    staged: Dict[str, array] = {}  # x, y, t of rows not yet in corpus
+    bufs: Dict[str, array] = {}  # x, y, t of each trajectory's rows
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -68,7 +66,6 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, List[Point]]:
         i_id, i_t, i_x, i_y = (col[name] for name in INPUT_COLUMNS)
         width = len(header)
         isfinite = math.isfinite
-        full = 3 * _RUN
 
         def bad_row(problem: str) -> DataError:
             # Physical line numbers, blank lines included, as editors show.
@@ -90,37 +87,25 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, List[Point]]:
                 raise bad_row("non-numeric t/x/y") from None
             if not (isfinite(t) and isfinite(x) and isfinite(y)):
                 raise bad_row("non-finite t/x/y")
-            prev = last_t.get(traj_id)
-            if prev is None:
-                corpus[traj_id] = []
-                staged[traj_id] = array("d")
-            elif t == prev:
-                continue
-            elif t < prev:
-                raise bad_row(
-                    f"trajectory {traj_id!r} timestamp {t!r} goes backwards "
-                    f"from {prev!r}"
-                )
-            last_t[traj_id] = t
-            buf = staged[traj_id]
+            buf = bufs.get(traj_id)
+            if buf is None:
+                bufs[traj_id] = buf = array("d")
+            else:
+                prev = buf[-1]  # the trajectory's last timestamp
+                if t == prev:
+                    continue
+                if t < prev:
+                    raise bad_row(
+                        f"trajectory {traj_id!r} timestamp {t!r} goes backwards "
+                        f"from {prev!r}"
+                    )
             buf.fromlist([x, y, t])
-            if len(buf) == full:
-                _build(corpus[traj_id], buf)
-    if not corpus:
+    if not bufs:
         raise DataError(f"{path}: no data rows")
-    for traj_id, buf in staged.items():
-        _build(corpus[traj_id], buf)
+    corpus = {tid: rows_view(buf) for tid, buf in bufs.items()}
     if geo:
-        corpus = {tid: project_equirectangular(pts) for tid, pts in corpus.items()}
+        corpus = {tid: project_equirectangular(v) for tid, v in corpus.items()}
     return corpus
-
-
-def _build(pts: List[Point], buf: array) -> None:
-    """Append buf's x, y, t triples to pts as Points and empty buf."""
-    it = iter(buf)
-    # tuple.__new__ gives equal Points without NamedTuple's Python __new__.
-    pts.extend(map(tuple.__new__, repeat(Point), zip(it, it, it)))
-    del buf[:]
 
 
 def _fmt(v: float) -> str:
@@ -153,14 +138,16 @@ def emit_segments(reps: Iterable[PiecewiseRepresentation], path: str) -> int:
     return rows
 
 
-def write_corpus(corpus: Dict[str, List[Point]], path: str) -> int:
-    """Inverse of ingest_csv for generated data; returns the row count."""
+def write_corpus(corpus: Dict[str, Sequence[Point]], path: str) -> int:
+    """Inverse of ingest_csv, for its views or for lists of points;
+    returns the row count."""
     rows = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(INPUT_COLUMNS)
-        for tid, pts in corpus.items():
-            for p in pts:
-                writer.writerow((tid, _fmt(p.t), _fmt(p.x), _fmt(p.y)))
-                rows += 1
+        for tid, traj in corpus.items():
+            xs, ys, ts = columns(traj)
+            for x, y, t in zip(xs, ys, ts):
+                writer.writerow((tid, _fmt(t), _fmt(x), _fmt(y)))
+            rows += len(xs)
     return rows

@@ -48,7 +48,10 @@ class CompressionStats:
 
 
 def _coords(traj: Sequence[Point]) -> np.ndarray:
-    """The trajectory as an (n, 3) array of x, y, t rows."""
+    """The trajectory as an (n, 3) array of x, y, t rows; a trajectory
+    view is read in place, without a copy."""
+    if isinstance(traj, memoryview):
+        return np.asarray(traj)
     flat = np.fromiter(
         chain.from_iterable(traj), dtype=np.float64, count=3 * len(traj)
     )

@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from .errors import DataError
 from .fitting import FitConfig, FitState, _sign_from_diff, zone_index
-from .geometry import Point, norm_angle
+from .geometry import Point, iter_points, norm_angle
 
 
 _INF = math.inf
@@ -480,13 +480,10 @@ def simplify(
 ) -> PiecewiseRepresentation:
     """Run the encoder over a whole trajectory in one send to its kernel.
 
-    A list or tuple is read by index, each index exactly once; any other
-    iterable is consumed as it streams.
+    Each point is read exactly once: a list or tuple by index, a
+    trajectory view row by row, any other iterable as it streams.
     """
-    if isinstance(traj, (list, tuple)):
-        pts = map(traj.__getitem__, range(len(traj)))
-    else:
-        pts = iter(traj)
+    pts = iter_points(traj)
     try:
         first = next(pts)
     except StopIteration:

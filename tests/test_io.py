@@ -3,26 +3,36 @@
 import csv
 import hashlib
 import math
+import tracemalloc
+from importlib import resources
 
 import pytest
 
 from trajsimp.datagen import gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
 from trajsimp.fitting import FitConfig
-from trajsimp.geometry import M_PER_DEG_LAT, Point
+from trajsimp.geometry import M_PER_DEG_LAT, Point, project_equirectangular
 from trajsimp.harness import ALGORITHMS, compress_corpus
 from trajsimp.io import (
-    _RUN,
     INPUT_COLUMNS,
     OUTPUT_COLUMNS,
     emit_segments,
     ingest_csv,
     write_corpus,
 )
+from trajsimp.metrics import compute_stats, verify_error_bound
 from trajsimp.onepass import Mode, simplify
 
 # sha256 of the files written by test_emitted_bytes_match_the_pinned_digest.
 GOLDEN_SHA256 = "b48a20fe052c5d43d4cae293c65004afab8a230b264224041860285a1bb5a242"
+
+
+def same_bits(got, want):
+    """Equal floats with equal signs, so -0.0 differs from 0.0."""
+    return all(
+        g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+        for g, w in zip(got, want, strict=True)
+    )
 
 
 def write(tmp_path, text, name="in.csv"):
@@ -42,12 +52,12 @@ class TestIngest:
         )
         corpus = ingest_csv(path)
         assert list(corpus) == ["b", "a"]
-        assert corpus["b"] == [Point(1, 2, 0), Point(3, 4, 1)]
-        assert corpus["a"] == [Point(5, 6, 0)]
+        assert corpus["b"].tolist() == [[1, 2, 0], [3, 4, 1]]
+        assert corpus["a"].tolist() == [[5, 6, 0]]
 
     def test_column_order_is_free(self, tmp_path):
         path = write(tmp_path, "y,x,t,traj_id\n2,1,0,a\n")
-        assert ingest_csv(path)["a"] == [Point(1, 2, 0)]
+        assert ingest_csv(path)["a"].tolist() == [[1, 2, 0]]
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty file"):
@@ -97,7 +107,7 @@ class TestIngest:
 
     def test_duplicate_timestamp_first_wins(self, tmp_path):
         path = write(tmp_path, "traj_id,t,x,y\na,0,1,1\na,0,9,9\na,1,2,2\n")
-        assert ingest_csv(path)["a"] == [Point(1, 1, 0), Point(2, 2, 1)]
+        assert ingest_csv(path)["a"].tolist() == [[1, 1, 0], [2, 2, 1]]
 
     def test_backwards_timestamp(self, tmp_path):
         path = write(tmp_path, "traj_id,t,x,y\na,5,1,1\na,4,2,2\n")
@@ -112,14 +122,59 @@ class TestIngest:
             "a,1,-74,40.01\n",
         )
         corpus = ingest_csv(path, geo=True)
-        assert corpus["a"][0] == Point(0.0, 0.0, 0.0)
-        assert corpus["a"][1].y == pytest.approx(0.01 * M_PER_DEG_LAT)
-        assert corpus["a"][1].x == pytest.approx(0.0, abs=1e-9)
+        assert corpus["a"].tolist()[0] == [0.0, 0.0, 0.0]
+        assert corpus["a"][1, 1] == pytest.approx(0.01 * M_PER_DEG_LAT)
+        assert corpus["a"][1, 0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_geo_corpus_stays_columnar(self, tmp_path):
+        """Projecting each trajectory's view gives the numbers, and so the
+        segments, that projecting its rows as a list of Points gives."""
+        rows = [
+            (f"v{k}", float(i), -74.0 + p.x * 1e-5, 40.0 + k + p.y * 1e-5)
+            for k in range(3)
+            for i, p in enumerate(gen_random_walk(400, seed=20 + k))
+        ]
+        rows.append(("solo", 3.0, -0.0, 89.5))
+        rows.sort(key=lambda r: r[1])  # a feed that interleaves vehicles
+        path = TestRowOrder.write_rows(tmp_path, "geo.csv", rows)
+        views = ingest_csv(path, geo=True)
+        points = {}
+        for tid, t, x, y in rows:
+            points.setdefault(tid, []).append(Point(x, y, t))
+        points = {tid: project_equirectangular(pts) for tid, pts in points.items()}
+        assert list(views) == list(points)
+        for tid, pts in points.items():
+            assert type(views[tid]) is memoryview
+            rows_got = views[tid].tolist()
+            assert all(same_bits(r, p) for r, p in zip(rows_got, pts, strict=True))
+        for algo in sorted(ALGORITHMS):
+            got = compress_corpus(views, algo, FitConfig(10.0))
+            assert got == compress_corpus(points, algo, FitConfig(10.0)), algo
+
+    def test_keeps_at_most_32_bytes_per_row(self, tmp_path):
+        """An interleaved feed of 8 x 2,500 rows: what ingest keeps is the
+        rows' float64 buffers (24 bytes a row) and little else."""
+        n, vehicles = 2500, 8
+        lines = [",".join(INPUT_COLUMNS)]
+        for i in range(n):
+            for k in range(vehicles):
+                lines.append(f"v{k},{i},{i * 1.25 + k!r},{-i / 7!r}")
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = ingest_csv(path)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, corpus.values())) == n * vehicles
+        assert kept <= 32 * n * vehicles, f"{kept / (n * vehicles):.1f} bytes per row"
 
 
 class TestRowOrder:
-    """Ingest stages each trajectory's rows and builds their Points in runs
-    of _RUN; neither the runs nor the order of the rows may show."""
+    """Ingest keeps each trajectory's rows in one buffer; the order of the
+    rows may not show, and every layer reads the buffer as it reads the
+    same rows given as Points."""
 
     # Signed zeros and subnormals, which must keep their sign and value.
     ODD = (-0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308)
@@ -150,12 +205,10 @@ class TestRowOrder:
         assert list(grouped) == list(interleaved) == ["v0", "v1", "v2", "solo"]
         for corpus in (grouped, interleaved):
             assert [len(pts) for pts in corpus.values()] == [1000, 1000, 1000, 1]
-            got = [p for pts in corpus.values() for p in pts]
-            assert all(type(p) is Point for p in got)
-            for p, (_, t, x, y) in zip(got, rows):
-                assert (p.x, p.y, p.t) == (x, y, t)
-                assert math.copysign(1.0, p.x) == math.copysign(1.0, x)
-                assert math.copysign(1.0, p.y) == math.copysign(1.0, y)
+            assert all(type(v) is memoryview for v in corpus.values())
+            got = [r for view in corpus.values() for r in view.tolist()]
+            for (gx, gy, gt), (_, t, x, y) in zip(got, rows):
+                assert same_bits((gx, gy, gt), (x, y, t))
         out = tmp_path / "segs.csv"
         for algo in sorted(ALGORITHMS):
             emitted = []
@@ -165,19 +218,42 @@ class TestRowOrder:
                 emitted.append(out.read_bytes())
             assert emitted[0] == emitted[1], algo
 
+    def test_every_layer_reads_the_view_as_the_points(self, tmp_path):
+        """compress_corpus, compute_stats and verify_error_bound give the
+        same results, bit for bit, on the ingested views as on the same
+        rows as Points, for every algorithm."""
+        rows = sorted(self.rows(), key=lambda r: r[1])
+        views = ingest_csv(self.write_rows(tmp_path, "feed.csv", rows))
+        points = {}
+        for tid, t, x, y in rows:
+            points.setdefault(tid, []).append(Point(x, y, t))
+        for algo in sorted(ALGORITHMS):
+            got = compress_corpus(views, algo, FitConfig(10.0))
+            want = compress_corpus(points, algo, FitConfig(10.0))
+            assert got == want, algo
+            for rg, rw in zip(got.values(), want.values()):
+                for sg, sw in zip(rg.segments, rw.segments):
+                    assert same_bits(sg.start + sg.end, sw.start + sw.end), algo
+            stats = compute_stats(list(got.values()), list(views.values()))
+            assert stats == compute_stats(list(want.values()), list(points.values()))
+            for tid, rep in got.items():
+                for zeta in (10.0, 1.0):
+                    assert (verify_error_bound(rep, views[tid], zeta)
+                            == verify_error_bound(rep, points[tid], zeta))
+
     def run_then(self, tmp_path, t):
-        """A run of rows that fills one staging run exactly, then a row at t."""
-        rows = [("a", float(i), float(i), 0.0) for i in range(_RUN)]
+        """256 rows of one trajectory, then a row at t."""
+        rows = [("a", float(i), float(i), 0.0) for i in range(256)]
         return self.write_rows(tmp_path, "run.csv", rows + [("a", t, -1.0, -1.0)])
 
     def test_duplicate_right_after_a_run_is_dropped(self, tmp_path):
-        pts = ingest_csv(self.run_then(tmp_path, _RUN - 1.0))["a"]
-        assert pts == [Point(float(i), 0.0, float(i)) for i in range(_RUN)]
+        pts = ingest_csv(self.run_then(tmp_path, 255.0))["a"]
+        assert pts.tolist() == [[float(i), 0.0, float(i)] for i in range(256)]
 
     def test_backwards_right_after_a_run_names_its_line(self, tmp_path):
-        # Header on line 1, the run on lines 2 .. _RUN + 1.
-        with pytest.raises(DataError, match=f"row {_RUN + 2}: .* goes backwards"):
-            ingest_csv(self.run_then(tmp_path, _RUN - 1.5))
+        # Header on line 1, the run on lines 2 .. 257.
+        with pytest.raises(DataError, match="row 258: .* goes backwards"):
+            ingest_csv(self.run_then(tmp_path, 254.5))
 
 
 class TestEmit:
@@ -212,10 +288,32 @@ class TestEmit:
         assert write_corpus(corpus, str(path)) == 200
         back = ingest_csv(str(path))
         assert list(back) == ["w"]
-        for orig, rt in zip(corpus["w"], back["w"]):
-            assert rt.t == orig.t  # small integers survive exactly
-            assert rt.x == pytest.approx(orig.x, rel=1e-8, abs=1e-8)
-            assert rt.y == pytest.approx(orig.y, rel=1e-8, abs=1e-8)
+        for orig, (x, y, t) in zip(corpus["w"], back["w"].tolist()):
+            assert t == orig.t  # small integers survive exactly
+            assert x == pytest.approx(orig.x, rel=1e-8, abs=1e-8)
+            assert y == pytest.approx(orig.y, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("name", ["figure_route.csv", "figure_corner.csv", "fleet"])
+    def test_ingested_corpus_writes_back_byte_for_byte(self, tmp_path, name):
+        """ingest_csv then write_corpus reproduces a file of 9-significant-
+        digit rows; an interleaved feed comes back grouped by trajectory,
+        as write_corpus writes the same rows given as Points."""
+        if name == "fleet":
+            fleet = {f"v{k}": gen_grid_route(300, k, step=20.0) for k in range(4)}
+            src = tmp_path / "grouped.csv"
+            write_corpus(fleet, str(src))
+            lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+            # Stable on t, so each trajectory keeps its own row order.
+            feed = lines[:1] + sorted(lines[1:], key=lambda r: float(r.split(",")[1]))
+            inp = tmp_path / "feed.csv"
+            inp.write_text("".join(feed), encoding="utf-8")
+            assert inp.read_bytes() != src.read_bytes()
+        else:
+            src = inp = resources.files("trajsimp").joinpath("data", name)
+        out = tmp_path / "out.csv"
+        corpus = ingest_csv(str(inp))
+        assert write_corpus(corpus, str(out)) == sum(map(len, corpus.values()))
+        assert out.read_bytes() == src.read_bytes()
 
     def test_emitted_files_are_byte_stable(self, tmp_path):
         rep = simplify(gen_random_walk(300, seed=4), FitConfig(zeta=10.0))
