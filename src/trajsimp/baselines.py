@@ -190,11 +190,12 @@ class HullState:
         self.polys = {}
 
     def add(self, dx: float, dy: float) -> None:
-        if dx >= 0.0:
-            q = 0 if dy >= 0.0 else 3
-        else:
-            q = 1 if dy >= 0.0 else 2
+        # Quadrants split the bearing range: none spans over pi/2 (see exceeds).
         th = math.atan2(dy, dx)
+        if th >= 0.0:
+            q = 0 if th <= _HALF_PI else 1
+        else:
+            q = 3 if th >= -_HALF_PI else 2
         box = self.quads.get(q)
         if box is None:
             self.quads[q] = [dx, dx, dy, dy, th, th]
@@ -235,30 +236,29 @@ class HullState:
         axis-parallel, clipping away the very point that defined the wedge
         (and with it the conservativeness of the certificate)."""
         out = []
-        first = poly[0]
-        ax, ay = first
-        ca = c0 = keep_sign * (cx * ay - cy * ax)
-        ka = k0 = ca >= -1e-12 * (abs(ax) + abs(ay))
+        n = len(poly)
+        ax, ay = poly[0]
+        ca = keep_sign * (cx * ay - cy * ax)
+        ka = ca >= -1e-12 * (abs(ax) + abs(ay))
         if ka:
-            out.append(first)
-        # One pass over the edges a -> b: the crossing (if any), then b.
-        for b in poly[1:]:
+            out.append(poly[0])
+        # Each edge a -> b, the closing one last: its crossing, then b.
+        for i in range(1, n + 1):
+            b = poly[i % n]
             bx, by = b
             cb = keep_sign * (cx * by - cy * bx)
             kb = cb >= -1e-12 * (abs(bx) + abs(by))
             if ka is not kb:
-                t = min(1.0, max(0.0, ca / (ca - cb)))
+                # Equal cross values under different tolerances put the
+                # crossing on the dropped vertex: the region only grows.
+                t = min(1.0, max(0.0, ca / (ca - cb))) if ca != cb else float(ka)
                 out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-            if kb:
+            if kb and i < n:
                 out.append(b)
             ax = bx
             ay = by
             ca = cb
             ka = kb
-        if ka is not k0:
-            bx, by = first
-            t = min(1.0, max(0.0, ca / (ca - c0)))
-            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
         return out
 
     @classmethod
@@ -300,7 +300,7 @@ class HullState:
 
         * Box: uy * x - ux * y is linear, so over the box it peaks and
           bottoms out at the corners picked by the signs of uy and -ux.
-        * Wedge, when the bearings span at most pi/2: the region lies
+        * Wedge, whose bearings ``add`` keeps within pi/2: the region lies
           within R of the anchor and between the extreme bearings, so its
           distance is at most R * F, F the largest |sin| between (ux, uy)
           and a bearing in the wedge: 1 when the wedge holds the line's
@@ -312,14 +312,15 @@ class HullState:
         computed vertices. Each vertex is a rounded convex combination of
         box corners, so it lies within a few ulps of the box. ``_clip``
         keeps a vertex up to tau = 1e-12 * (|x| + |y|) <= 1.5e-12 * R
-        across a bearing line, and with the bearings at most pi/2 apart no
-        vertex lies more than tau behind a bearing either. Such a point is
-        within sqrt(2) * tau of the wedge (within tau of a bearing's ray
-        when less than a right angle past it, else within sqrt(2) * tau of
-        the anchor), which moves its distance by at most 2.2e-12 * R.
-        Rounding in ux, uy, the distances, cos, sin and R adds about
-        1e-14 * R; 1e-300 covers subnormal coordinates, whose rounding is
-        absolute. A NaN or infinity fails both bounds.
+        across a bearing line (a degenerate crossing sits on a vertex whose
+        cross value equals a kept one's), and with the bearings at most
+        pi/2 apart no vertex lies more than tau behind a bearing either.
+        Such a point is within sqrt(2) * tau of the wedge (within tau of a
+        bearing's ray when less than a right angle past it, else within
+        sqrt(2) * tau of the anchor), which moves its distance by at most
+        2.2e-12 * R. Rounding in ux, uy, the distances, cos, sin and R adds
+        about 1e-14 * R; 1e-300 covers subnormal coordinates, whose
+        rounding is absolute. A NaN or infinity fails both bounds.
         """
         length = math.hypot(dx, dy)
         if length == 0.0:
@@ -341,17 +342,16 @@ class HullState:
             if (uy * box[xh] - ux * box[yh] <= limit
                     and ux * box[yl] - uy * box[xl] <= limit):
                 continue
-            if th_h - th_l <= _HALF_PI:
-                cl = math.cos(th_l)
-                sl = math.sin(th_l)
-                ch = math.cos(th_h)
-                sh = math.sin(th_h)
-                if (cl * ux + sl * uy) * (ch * ux + sh * uy) <= 0.0:
-                    f = 1.0
-                else:
-                    f = max(abs(cl * uy - sl * ux), abs(ch * uy - sh * ux))
-                if r * f <= limit:
-                    continue
+            cl = math.cos(th_l)
+            sl = math.sin(th_l)
+            ch = math.cos(th_h)
+            sh = math.sin(th_h)
+            if (cl * ux + sl * uy) * (ch * ux + sh * uy) <= 0.0:
+                f = 1.0
+            else:
+                f = max(abs(cl * uy - sl * ux), abs(ch * uy - sh * ux))
+            if r * f <= limit:
+                continue
             for vx, vy in self._clipped(q):
                 if abs(vx * uy - vy * ux) > zeta:
                     return True

@@ -128,10 +128,14 @@ def _run_config(args, zetas, output=None) -> RunConfig:
     )
 
 
-def _cmd_compress(args) -> int:
+def _ingest_and_compress(args):
     cfg = _run_config(args, [args.epsilon])
     corpus = ingest_csv(cfg.input, geo=cfg.geo)
-    reps = compress_corpus(corpus, args.algo, cfg.fit_config(args.epsilon))
+    return corpus, compress_corpus(corpus, args.algo, cfg.fit_config(args.epsilon))
+
+
+def _cmd_compress(args) -> int:
+    corpus, reps = _ingest_and_compress(args)
     rows = emit_segments(reps.values(), args.output)
     stats = compute_stats(list(reps.values()), list(corpus.values()))
     print(
@@ -155,9 +159,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _run_config(args, [args.epsilon])
-    corpus = ingest_csv(cfg.input, geo=cfg.geo)
-    reps = compress_corpus(corpus, args.algo, cfg.fit_config(args.epsilon))
+    corpus, reps = _ingest_and_compress(args)
     bad_total = 0
     for tid, pts in corpus.items():
         ok, violations = verify_error_bound(reps[tid], pts, args.epsilon)

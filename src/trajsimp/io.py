@@ -112,42 +112,44 @@ def _fmt(v: float) -> str:
     return "%.9g" % v
 
 
-def emit_segments(reps: Iterable[PiecewiseRepresentation], path: str) -> int:
-    """Write one row per output segment; returns the row count."""
-    rows = 0
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[tuple]) -> int:
+    """Write header and rows to path as CSV; returns the row count."""
+    count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OUTPUT_COLUMNS)
-        for rep in reps:
-            for idx, seg in enumerate(rep.segments):
-                writer.writerow(
-                    (
-                        rep.traj_id,
-                        idx,
-                        _fmt(seg.start.x),
-                        _fmt(seg.start.y),
-                        _fmt(seg.start.t),
-                        _fmt(seg.end.x),
-                        _fmt(seg.end.y),
-                        _fmt(seg.end.t),
-                        seg.covered,
-                        "true" if seg.patched_start else "false",
-                    )
-                )
-                rows += 1
-    return rows
+        writer.writerow(header)
+        for count, row in enumerate(rows, 1):
+            writer.writerow(row)
+    return count
+
+
+def emit_segments(reps: Iterable[PiecewiseRepresentation], path: str) -> int:
+    """Write one row per output segment; returns the row count."""
+    rows = (
+        (
+            rep.traj_id,
+            idx,
+            _fmt(seg.start.x),
+            _fmt(seg.start.y),
+            _fmt(seg.start.t),
+            _fmt(seg.end.x),
+            _fmt(seg.end.y),
+            _fmt(seg.end.t),
+            seg.covered,
+            "true" if seg.patched_start else "false",
+        )
+        for rep in reps
+        for idx, seg in enumerate(rep.segments)
+    )
+    return _write_csv(path, OUTPUT_COLUMNS, rows)
 
 
 def write_corpus(corpus: Dict[str, Sequence[Point]], path: str) -> int:
     """Inverse of ingest_csv, for its views or for lists of points;
     returns the row count."""
-    rows = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(INPUT_COLUMNS)
-        for tid, traj in corpus.items():
-            xs, ys, ts = columns(traj)
-            for x, y, t in zip(xs, ys, ts):
-                writer.writerow((tid, _fmt(t), _fmt(x), _fmt(y)))
-            rows += len(xs)
-    return rows
+    rows = (
+        (tid, _fmt(t), _fmt(x), _fmt(y))
+        for tid, traj in corpus.items()
+        for x, y, t in zip(*columns(traj))
+    )
+    return _write_csv(path, INPUT_COLUMNS, rows)

@@ -14,7 +14,6 @@ its start point.
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -45,17 +44,6 @@ class CompressionStats:
         if self.anomalous == 0:
             return 0.0
         return self.patched / self.anomalous
-
-
-def _coords(traj: Sequence[Point]) -> np.ndarray:
-    """The trajectory as an (n, 3) array of x, y, t rows; a trajectory
-    view is read in place, without a copy."""
-    if isinstance(traj, memoryview):
-        return np.asarray(traj)
-    flat = np.fromiter(
-        chain.from_iterable(traj), dtype=np.float64, count=3 * len(traj)
-    )
-    return flat.reshape(-1, 3)
 
 
 def _segment_distances(
@@ -89,7 +77,8 @@ def _segment_distances(
     cols = np.array(table, dtype=np.float64).reshape(-1, 6)
     counts = cols[:, 0].astype(np.intp)
     sx, sy, dx, dy, length = (np.repeat(cols[:, k], counts) for k in range(1, 6))
-    xyt = _coords(traj)
+    # A trajectory view is read in place, without a copy.
+    xyt = np.asarray(traj, dtype=np.float64).reshape(-1, 3)
     px = xyt[:, 0] - sx
     py = xyt[:, 1] - sy
     out = np.abs(dx * py - dy * px)

@@ -35,7 +35,7 @@ class Mode(enum.Enum):
     OPERB_A = "operb-a"
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     """One piece of the output representation.
 
@@ -48,10 +48,6 @@ class Segment:
     end: Point
     covered: int
     patched_start: bool = False
-
-    @property
-    def anomalous(self) -> bool:
-        return self.covered == 2
 
 
 @dataclass

@@ -179,6 +179,21 @@ class TestHullState:
 
 
 class TestFbqs:
+    @pytest.mark.parametrize("rows", [
+        # A -0.0 offset put bearing -pi in with bearings near pi, and the
+        # wedge between them dropped (-5, 3).
+        [(0.0, 0.0, 0.0), (-1.0, -0.0, 1.0), (-5.0, 3.0, 2.0), (-10.0, 0.0, 3.0)],
+        # Two polygon vertices with equal cross values but different keep
+        # flags made the clip divide by zero.
+        [(-0.0, 0.0, 0.0), (-0.0, 0.0, 1.0), (60.0, 1e-323, 2.0), (0.0, 83.0, 3.0)],
+    ], ids=["signed-zero-bearing", "equal-cross-values"])
+    def test_signed_zeros_and_subnormals_keep_the_bound(self, rows):
+        traj = [Point(*r) for r in rows]
+        rep = fbqs_simplify(traj, 1.0)
+        ok, violations = verify_error_bound(rep, traj, 1.0)
+        assert ok, violations
+        assert len(rep) == 2
+
     @settings(max_examples=40)
     @given(trajs(), st.sampled_from((2.0, 10.0, 40.0)))
     def test_bound_holds(self, traj, zeta):

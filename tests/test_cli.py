@@ -213,6 +213,23 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["compress", "verify"])
+@pytest.mark.parametrize("rows", [
+    # A -0.0 offset once broke fbqs's bound (verify exited 3), and equal
+    # cross values with different keep flags its clip (compress crashed).
+    "a,0,0,0\na,1,-1,-0.0\na,2,-5,3\na,3,-10,0\n",
+    "a,0,-0.0,0\na,1,-0.0,0\na,2,60,1e-323\na,3,0,83\n",
+], ids=["signed-zero-bearing", "equal-cross-values"])
+def test_fbqs_signed_zero_inputs_exit_0(tmp_path, capsys, verb, rows):
+    path = tmp_path / "in.csv"
+    path.write_text("traj_id,t,x,y\n" + rows)
+    argv = [verb, "--input", str(path), "--epsilon", "1", "--algo", "fbqs"]
+    if verb == "compress":
+        argv += ["--output", str(tmp_path / "segs.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestGeo:
     def test_geo_flag_projects_degrees_before_compressing(self, tmp_path, capsys):
         path = tmp_path / "geo.csv"

@@ -282,6 +282,26 @@ class TestEmit:
         assert emit_segments([rep], str(one)) == 1
         assert emit_segments((r for r in (rep, rep)), str(many)) == 2
 
+    def test_ids_that_need_quoting_round_trip_and_emit_quoted(self, tmp_path):
+        ids = ["a,b", 'say "hi"', "two\nlines"]
+        corpus = {tid: [Point(0.0, 0.0, 0.0), Point(1.0, 2.0, 1.0)] for tid in ids}
+        path = tmp_path / "corpus.csv"
+        assert write_corpus(corpus, str(path)) == 6
+        back = ingest_csv(str(path))
+        assert list(back) == ids
+        for tid in ids:
+            assert back[tid].tolist() == [[0.0, 0.0, 0.0], [1.0, 2.0, 1.0]]
+        reps = compress_corpus(back, "operb", FitConfig(zeta=1.0))
+        out = tmp_path / "segs.csv"
+        assert emit_segments(reps.values(), str(out)) == 3
+        # csv.writer's minimal quoting: the field in double quotes, an
+        # inner double quote doubled, the newline kept inside the quotes.
+        row = ",0,0,0,0,1,2,1,2,false\n"
+        assert out.read_bytes() == (
+            ",".join(OUTPUT_COLUMNS) + "\n"
+            + '"a,b"' + row + '"say ""hi"""' + row + '"two\nlines"' + row
+        ).encode()
+
     def test_round_trip_preserves_nine_significant_digits(self, tmp_path):
         corpus = {"w": gen_random_walk(200, seed=12)}
         path = tmp_path / "corpus.csv"

@@ -49,9 +49,15 @@ def traj_strategy(max_n=120):
 
 
 class TestSegmentsAndReps:
-    def test_anomalous_is_covered_two(self):
-        assert Segment(P(0, 0), P(1, 0), 2).anomalous
-        assert not Segment(P(0, 0), P(1, 0), 3).anomalous
+    def test_segment_is_slotted_with_dataclass_copy_repr_and_equality(self):
+        seg = Segment(P(0, 0), P(1, 0), 2)
+        assert not hasattr(seg, "__dict__")
+        dup = copy.copy(seg)
+        assert dup == seg and dup is not seg
+        assert repr(seg) == (
+            "Segment(start=Point(x=0, y=0, t=0.0), end=Point(x=1, y=0, t=0.0), "
+            "covered=2, patched_start=False)"
+        )
 
     def test_representation_is_sized_iterable(self):
         segs = [Segment(P(0, 0), P(1, 0), 2)]

@@ -157,17 +157,23 @@ def reference_rep(pts, bounds):
 
 class ReferenceHull:
     """The quadrant hull that rebuilds and clips every quadrant's polygon
-    on each query."""
+    on each query. A point's quadrant comes from its bearing, and a clip
+    edge whose ends have equal cross values but different keep flags puts
+    its crossing on the dropped end."""
 
     def __init__(self):
         self.quads = {}
 
     def add(self, dx, dy):
-        if dx >= 0.0:
-            q = 0 if dy >= 0.0 else 3
-        else:
-            q = 1 if dy >= 0.0 else 2
         th = math.atan2(dy, dx)
+        if 0.0 <= th <= math.pi / 2:
+            q = 0
+        elif th > math.pi / 2:
+            q = 1
+        elif th < -math.pi / 2:
+            q = 2
+        else:
+            q = 3
         box = self.quads.get(q)
         if box is None:
             self.quads[q] = [dx, dx, dy, dy, th, th]
@@ -202,8 +208,11 @@ class ReferenceHull:
             if keep[idx]:
                 out.append((ax, ay))
             if keep[idx] != keep[nxt]:
-                t = vals[idx] / (vals[idx] - vals[nxt])
-                t = min(1.0, max(0.0, t))
+                if vals[idx] == vals[nxt]:
+                    t = 1.0 if keep[idx] else 0.0  # on the dropped vertex
+                else:
+                    t = vals[idx] / (vals[idx] - vals[nxt])
+                    t = min(1.0, max(0.0, t))
                 out.append((ax + t * (bx - ax), ay + t * (by - ay)))
         return out
 
@@ -483,6 +492,10 @@ def boundary_zetas(ref):
 @example([(10.0, 1.0), (1.0, 10.0)], -math.pi / 4, 1e7)
 @example([(-5.0, 0.0), (0.0, -5.0), (5.0, 5.0), (-5.0, 5.0)], 0.3, 1e-6)
 @example([(-54.0, 96.0), (-1.0, -60.0)], 0.3, 1e-318)
+# A -0.0 offset (bearing -pi), then equal cross values under different
+# tolerances at a clip edge.
+@example([(-1.0, -0.0), (-5.0, 3.0), (-10.0, 0.0)], 0.0, 1.0)
+@example([(0.0, 0.0), (60.0, 1e-323), (0.0, 83.0)], 0.0, 1.0)
 def test_hull_matches_the_rebuilding_one(offsets, theta, scale):
     """After every add, the hull's vertices and its decision at zeta on
     and around the reference bound equal the rebuilding hull's, for a line
