@@ -10,7 +10,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .fitting import check_zeta
+from .fitting import check_zeta, coord_error, coord_limit
 from .geometry import Point, columns
 from .onepass import PiecewiseRepresentation, Segment
 
@@ -22,11 +22,22 @@ def _columns(traj: Sequence[Point], zeta: float) -> Columns:
     one (p0, p0).
 
     A point may be a Point, a plain (x, y, t) tuple or list, or a row of
-    a trajectory view; ``_finalize`` builds the segment ends as Points."""
+    a trajectory view; ``_finalize`` builds the segment ends as Points.
+    The first point whose x or y is not within the bound of
+    ``coord_limit`` (NaN included) is refused with a DataError, in one
+    numpy pass; t is never read."""
     check_zeta(zeta)
     cols = columns(traj)
     if not cols[0]:
         raise ValueError("need at least one point")
+    lim = coord_limit(zeta)
+    # A view's x and y are read in place; other input from its columns.
+    view = isinstance(traj, memoryview)
+    xy = np.asarray(traj)[:, :2].T if view else np.array(cols[:2])
+    ok = (np.abs(xy) < lim).all(axis=0)
+    if not ok.all():
+        k = int(ok.argmin())
+        raise coord_error(k, cols[0][k], cols[1][k], lim)
     return cols
 
 
@@ -180,14 +191,12 @@ class HullState:
     dropped polygon.
     """
 
-    __slots__ = ("quads", "polys")
+    __slots__ = ("quads",)
 
     def __init__(self):
-        # quadrant -> [minx, maxx, miny, maxy, th_low, th_high]
+        # quadrant -> [minx, maxx, miny, maxy, th_low, th_high, polygon]; the
+        # clipped polygon is None until clipped and again once add moves a bound
         self.quads = {}
-        # quadrant -> its clipped polygon, or None once add moved the
-        # quadrant; in the same key order as quads
-        self.polys = {}
 
     def add(self, dx: float, dy: float) -> None:
         # Quadrants split the bearing range: none spans over pi/2 (see exceeds).
@@ -198,30 +207,26 @@ class HullState:
             q = 3 if th >= -_HALF_PI else 2
         box = self.quads.get(q)
         if box is None:
-            self.quads[q] = [dx, dx, dy, dy, th, th]
-            self.polys[q] = None
+            self.quads[q] = [dx, dx, dy, dy, th, th, None]
             return
-        moved = False
         if dx < box[0]:
             box[0] = dx
-            moved = True
+            box[6] = None
         elif dx > box[1]:
             box[1] = dx
-            moved = True
+            box[6] = None
         if dy < box[2]:
             box[2] = dy
-            moved = True
+            box[6] = None
         elif dy > box[3]:
             box[3] = dy
-            moved = True
+            box[6] = None
         if th < box[4]:
             box[4] = th
-            moved = True
+            box[6] = None
         elif th > box[5]:
             box[5] = th
-            moved = True
-        if moved:
-            self.polys[q] = None
+            box[6] = None
 
     @staticmethod
     def _clip(poly: List[Tuple[float, float]], cx: float, cy: float, keep_sign: float):
@@ -262,28 +267,22 @@ class HullState:
         return out
 
     @classmethod
-    def _polygon(cls, box: List[float]) -> List[Tuple[float, float]]:
-        """The box clipped to the bearing wedge about the anchor."""
-        minx, maxx, miny, maxy, th_l, th_h = box
-        poly = [(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy)]
-        # Bearing wedge about the anchor: angle(v) <= th_h and >= th_l.
-        # cross((cos th, sin th), v) = |v| sin(angle(v) - th).
-        poly = cls._clip(poly, math.cos(th_h), math.sin(th_h), -1.0)
-        if poly:
-            poly = cls._clip(poly, math.cos(th_l), math.sin(th_l), 1.0)
-        return poly
-
-    def _clipped(self, q: int) -> List[Tuple[float, float]]:
-        poly = self.polys[q]
+    def _clipped(cls, box: list) -> List[Tuple[float, float]]:
+        """The box clipped to the bearing wedge, cached until add moves it."""
+        poly = box[6]
         if poly is None:
-            poly = self.polys[q] = self._polygon(self.quads[q])
+            minx, maxx, miny, maxy, th_l, th_h, _ = box
+            poly = [(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy)]
+            # Bearing wedge about the anchor: angle(v) <= th_h and >= th_l.
+            # cross((cos th, sin th), v) = |v| sin(angle(v) - th).
+            poly = cls._clip(poly, math.cos(th_h), math.sin(th_h), -1.0)
+            if poly:
+                poly = cls._clip(poly, math.cos(th_l), math.sin(th_l), 1.0)
+            box[6] = poly
         return poly
 
     def vertices(self) -> List[Tuple[float, float]]:
-        verts: List[Tuple[float, float]] = []
-        for q in self.quads:
-            verts.extend(self._clipped(q))
-        return verts
+        return [v for box in self.quads.values() for v in self._clipped(box)]
 
     def exceeds(self, dx: float, dy: float, zeta: float) -> bool:
         """Whether some polygon vertex lies more than zeta (finite, > 0)
@@ -334,8 +333,8 @@ class HullState:
         # bottoms out (lo).
         xh, xl = (1, 0) if uy >= 0.0 else (0, 1)
         yh, yl = (2, 3) if ux >= 0.0 else (3, 2)
-        for q, box in self.quads.items():
-            minx, maxx, miny, maxy, th_l, th_h = box
+        for box in self.quads.values():
+            minx, maxx, miny, maxy, th_l, th_h, _ = box
             r = math.hypot(maxx if maxx > -minx else minx,
                            maxy if maxy > -miny else miny)
             limit = zeta - (5e-12 * r + 1e-300)
@@ -352,7 +351,7 @@ class HullState:
                 f = max(abs(cl * uy - sl * ux), abs(ch * uy - sh * ux))
             if r * f <= limit:
                 continue
-            for vx, vy in self._clipped(q):
+            for vx, vy in self._clipped(box):
                 if abs(vx * uy - vy * ux) > zeta:
                     return True
         return False

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import DataError
 from .geometry import Point
 
 _HALF_PI = math.pi / 2.0
@@ -40,6 +41,26 @@ def check_zeta(zeta: float) -> None:
     """Raise ValueError unless zeta is a finite error bound above zero."""
     if not (math.isfinite(zeta) and zeta > 0.0):
         raise ValueError(f"zeta must be finite and > 0, got {zeta}")
+
+
+def coord_limit(zeta: float) -> float:
+    """The bound on |x| and |y| of an input point at error bound zeta.
+
+    1e100 keeps every product of two offsets finite, also those with a
+    patch point, which may lie about 1e9 times farther out than its
+    neighbours (``try_patch`` takes lines down to |sin| = 1e-9); 1e300 *
+    zeta keeps radius / zeta finite in ``zone_index``.
+    """
+    return min(1e100, 1e300 * zeta)
+
+
+def coord_error(k: int, x: float, y: float, lim: float) -> DataError:
+    """The error for point k, whose x or y is not within (-lim, lim)."""
+    if math.isfinite(x) and math.isfinite(y):
+        return DataError(
+            f"point {k}: coordinate beyond {lim:g}, the bound zeta can carry"
+        )
+    return DataError(f"point {k}: non-finite coordinate")
 
 
 @dataclass(frozen=True)

@@ -76,21 +76,16 @@ def norm_angle(theta: float) -> float:
     return theta
 
 
-def project_equirectangular(points: Sequence[Tuple[float, float, float]]):
-    """Map (lon, lat, t) rows to local metres about the first point.
+def project_equirectangular(view: memoryview) -> memoryview:
+    """Map a trajectory view of (lon, lat, t) rows to a view of new rows
+    in local metres about the first row.
 
     x grows east (scaled by cos of the reference latitude), y grows north.
-    A trajectory view gives a view over new rows; any other sequence gives
-    a list of Points.
     """
-    if not len(points):
-        return []
-    lons, lats, ts = columns(points)
+    lons, lats, ts = columns(view)
     lon0, lat0 = lons[0], lats[0]
     kx = M_PER_DEG_LON * math.cos(math.radians(lat0))
     ky = M_PER_DEG_LAT
     xs = [(lon - lon0) * kx for lon in lons]
     ys = [(lat - lat0) * ky for lat in lats]
-    if isinstance(points, memoryview):
-        return rows_view(array("d", chain.from_iterable(zip(xs, ys, ts))))
-    return list(map(Point, xs, ys, ts))
+    return rows_view(array("d", chain.from_iterable(zip(xs, ys, ts))))

@@ -11,7 +11,8 @@ from math import pi
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .baselines import dp_simplify, fbqs_simplify, opw_simplify
-from .fitting import K_CAP_LIMIT, FitConfig
+from .errors import DataError
+from .fitting import K_CAP_LIMIT, FitConfig, check_zeta
 from .geometry import Point
 from .metrics import CompressionStats, compute_stats
 from .io import ingest_csv
@@ -46,6 +47,8 @@ class RunConfig:
                 raise ValueError(f"unknown algorithm {name!r}")
         if not self.zeta_list:
             raise ValueError("zeta_list must not be empty")
+        for zeta in self.zeta_list:
+            check_zeta(zeta)
         if len(self.opts) != 5:
             raise ValueError("opts must have exactly 5 entries")
 
@@ -67,10 +70,15 @@ def compress_corpus(
     algo: str,
     cfg: FitConfig,
 ) -> Dict[str, PiecewiseRepresentation]:
+    """Run algo over each trajectory; a refused point's DataError gains
+    the trajectory's id."""
     fn = ALGORITHMS[algo]
     reps = {}
     for tid, pts in corpus.items():
-        rep = fn(pts, cfg)
+        try:
+            rep = fn(pts, cfg)
+        except DataError as exc:
+            raise DataError(f"trajectory {tid!r} {exc}") from exc
         rep.traj_id = tid
         reps[tid] = rep
     return reps

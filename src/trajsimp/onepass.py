@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import DataError
-from .fitting import FitConfig, FitState, _sign_from_diff, zone_index
+from .fitting import (FitConfig, FitState, _sign_from_diff, coord_error,
+                      coord_limit, zone_index)
 from .geometry import Point, iter_points, norm_angle
 
 
@@ -64,11 +65,13 @@ class PiecewiseRepresentation:
         return iter(self.segments)
 
 
-def _point_error(k: int, p: Point, last_t: float) -> DataError:
-    """The error for input point k, which failed the finite-and-increasing
-    check against the previous timestamp last_t."""
+def _point_error(k: int, p: Point, last_t: float, lim: float) -> DataError:
+    """The error for input point k, which failed the check that x and y
+    lie within (-lim, lim) and t is finite and above last_t."""
     x, y, t = p
-    if not (-_INF < x < _INF and -_INF < y < _INF and -_INF < t < _INF):
+    if not (-lim < x < lim and -lim < y < lim):
+        return coord_error(k, x, y, lim)
+    if not -_INF < t < _INF:
         return DataError(f"point {k}: non-finite coordinate")
     return DataError(f"point {k}: timestamp {t!r} not greater than {last_t!r}")
 
@@ -148,12 +151,13 @@ class OperbEncoder:
         if first is None:
             raise ValueError("encoder needs the first point up front")
         mode = Mode(mode)  # accept "operb"/"operb-a" strings too
+        lim = coord_limit(cfg.zeta)
         try:
             x, y, t = first
             # "+ 0.0" turns away numbers that do not mix with floats (Decimal).
-            if not (-_INF < t + 0.0 < _INF and -_INF < x + 0.0 < _INF
-                    and -_INF < y + 0.0 < _INF):
-                raise _point_error(0, first, -_INF)
+            if not (-_INF < t + 0.0 < _INF and -lim < x + 0.0 < lim
+                    and -lim < y + 0.0 < lim):
+                raise _point_error(0, first, -_INF, lim)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise _refused(0, exc)
         if type(first) is not Point:
@@ -204,7 +208,9 @@ class OperbEncoder:
         cos = math.cos
         hypot = math.hypot
         inf = math.inf
-        ninf = -math.inf
+        # Coordinates past lim would overflow the fit's arithmetic.
+        lim = coord_limit(zeta)
+        nlim = -lim
         sign_from_diff = _sign_from_diff
         zone = zone_index
         norm = norm_angle
@@ -277,10 +283,10 @@ class OperbEncoder:
                     # "+ 0.0" turns away numbers that do not mix with floats.
                     if not (
                         last_t < pt + 0.0 < inf
-                        and ninf < px + 0.0 < inf
-                        and ninf < py + 0.0 < inf
+                        and nlim < px + 0.0 < lim
+                        and nlim < py + 0.0 < lim
                     ):
-                        raise _point_error(k, p, last_t)
+                        raise _point_error(k, p, last_t, lim)
                 except Exception as exc:
                     self._error = _refused(k, exc)
                     out = None

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from trajsimp.baselines import HullState, dp_simplify, fbqs_simplify, opw_simplify
 from trajsimp.datagen import gen_grid_route, gen_random_walk
+from trajsimp.errors import DataError
+from trajsimp.fitting import FitConfig
 from trajsimp.geometry import Point
 from trajsimp.metrics import verify_error_bound
-from trajsimp.onepass import Segment
+from trajsimp.onepass import Segment, simplify as encode
 
 P = Point
 
@@ -100,6 +102,23 @@ class TestDp:
         assert len(dp_simplify(traj, 2.0 * zeta)) <= len(rep)
 
 
+@pytest.mark.parametrize("simplify", [dp_simplify, opw_simplify, fbqs_simplify])
+@pytest.mark.parametrize("row, zeta, msg", [
+    ((math.nan, 0.0, 1.0), 1.0, "non-finite coordinate"),
+    ((0.0, math.inf, 1.0), 1.0, "non-finite coordinate"),
+    ((1e308, 1e308, 1.0), 1.0, "coordinate beyond 1e\\+100"),
+    ((-1e101, 0.0, 1.0), 1.0, "coordinate beyond 1e\\+100"),
+    ((1.0, 0.0, 1.0), 1e-308, "coordinate beyond 1e-08"),
+], ids=["nan", "inf", "huge", "past-1e100", "past-1e300-zeta"])
+def test_baselines_refuse_what_the_encoder_refuses(simplify, row, zeta, msg):
+    traj = [P(0, 0, 0), P(*row), P(2, 0, 2), P(3, 1, 3)]
+    with pytest.raises(DataError, match=f"^point 1: {msg}") as refused:
+        simplify(traj, zeta)
+    with pytest.raises(DataError) as encoder:
+        encode(traj, FitConfig(zeta))
+    assert str(refused.value) == str(encoder.value)
+
+
 class TestOpw:
     def test_window_restarts_at_the_previous_point(self):
         zigzag = [P(0, 0, 0), P(1, 0, 1), P(2, 2, 2), P(3, 0, 3)]
@@ -143,14 +162,14 @@ class TestHullState:
         for i in range(1, 50):
             hull.add(7.0 * i * c, 7.0 * i * s)
             assert not hull.exceeds(7.0 * (i + 1) * c, 7.0 * (i + 1) * s, 1.0)
-            assert list(hull.polys.values()) == [None]
+            assert [box[6] for box in hull.quads.values()] == [None]
         # A wedge 45 degrees wide reaches 35 off the x axis at radius 50,
         # but the box is 0.1 high: only the box bound settles this one.
         hull = HullState()
         hull.add(0.1, 0.1)
         hull.add(50.0, 0.0)
         assert not hull.exceeds(1.0, 0.0, 1.0)
-        assert list(hull.polys.values()) == [None]
+        assert [box[6] for box in hull.quads.values()] == [None]
         assert hull.exceeds(1.0, 0.0, 0.05)
 
     @settings(max_examples=60)

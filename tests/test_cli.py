@@ -12,6 +12,7 @@ from trajsimp.datagen import (
     gen_random_walk,
     gen_stepwise_adversarial,
 )
+from trajsimp.harness import ALGORITHMS
 from trajsimp.io import OUTPUT_COLUMNS, write_corpus
 
 
@@ -158,6 +159,12 @@ class TestCompare:
         for name in ("dp", "opw", "fbqs", "operb", "operb-a"):
             assert name in out
 
+    def test_bad_epsilon_exits_1_before_reading_the_input(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        rc = main(["compare", "--input", missing, "--epsilon-list", "10,-1"])
+        assert rc == 1
+        assert "zeta must be finite and > 0, got -1.0" in capsys.readouterr().err
+
     def test_empty_epsilon_list_exits_1(self, corpus_csv, capsys):
         rc = main(["compare", "--input", corpus_csv, "--epsilon-list", " , "])
         assert rc == 1
@@ -211,6 +218,52 @@ class TestNonFiniteInput:
         assert "row 3: non-finite t/x/y" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+def test_far_coordinate_exits_2_naming_trajectory_and_point(tmp_path, capsys):
+    path = tmp_path / "far.csv"
+    path.write_text("traj_id,t,x,y\nok,0,0,0\na,0,0,0\na,1,1e308,1e308\n")
+    for algo in sorted(ALGORITHMS):
+        argv = ["verify", "--input", str(path), "--epsilon", "1", "--algo", algo]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: trajectory 'a' point 1: coordinate beyond 1e+100, "
+            "the bound zeta can carry\n"
+        )
+
+
+def _random_walk_rows():
+    return "".join(
+        f"w,{p.t!r},{p.x!r},{p.y!r}\n" for p in gen_random_walk(40, seed=3)
+    )
+
+
+# Hostile inputs, each with the --epsilon it runs at.
+HOSTILE = {
+    "huge": ("a,0,0,0\na,1,1e308,1e308\na,2,-1e308,-1e308\n", "1"),
+    "tiny-epsilon": (_random_walk_rows(), "1e-310"),
+    "one-row": ("a,0,1,2\n", "1"),
+    "truncated-quote": ('a,0,0,0\na,1,"1,1,1\na,2,2,2\n', "1"),
+    "interleaved": ("a,0,0,0\nb,0,5,5\na,1,1,0\nb,1,5,9\na,2,2,1\nb,2,9,9\n", "1"),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_input_gets_a_defined_exit(tmp_path, capsys, name, algo):
+    """Exit 0, 2 or 3 and no traceback; output compress writes passes verify."""
+    rows, epsilon = HOSTILE[name]
+    path = tmp_path / "in.csv"
+    path.write_text("traj_id,t,x,y\n" + rows)
+    common = ["--input", str(path), "--epsilon", epsilon, "--algo", algo]
+    codes = []
+    for verb, extra in (("compress", ["--output", str(tmp_path / "segs.csv")]),
+                        ("verify", [])):
+        codes.append(main([verb] + common + extra))
+        assert codes[-1] in (0, 2, 3), verb
+        assert "Traceback" not in capsys.readouterr().err
+    if codes[0] == 0:
+        assert codes[1] == 0
 
 
 @pytest.mark.parametrize("verb", ["compress", "verify"])

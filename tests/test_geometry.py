@@ -1,6 +1,7 @@
 """Planar primitives: the bearing fold and the projection."""
 
 import math
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from trajsimp.geometry import (
     TWO_PI,
     norm_angle,
     project_equirectangular,
+    rows_view,
 )
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -38,6 +40,10 @@ def test_norm_angle_range_property(a):
     assert math.sin(r) == pytest.approx(math.sin(a), abs=1e-9)
 
 
+def view_of(rows):
+    return rows_view(array("d", [v for row in rows for v in row]))
+
+
 def test_project_equirectangular_scales_about_first_point():
     lat0, lon0 = 40.0, -74.0
     rows = [
@@ -45,14 +51,17 @@ def test_project_equirectangular_scales_about_first_point():
         (lon0 + 0.01, lat0, 1.0),
         (lon0, lat0 + 0.01, 2.0),
     ]
-    out = project_equirectangular(rows)
-    assert out[0].x == 0.0 and out[0].y == 0.0
+    out = project_equirectangular(view_of(rows))
+    assert type(out) is memoryview and len(out) == 3
+    assert out[0, 0] == 0.0 and out[0, 1] == 0.0
     kx = M_PER_DEG_LON * math.cos(math.radians(lat0))
-    assert out[1].x == pytest.approx(0.01 * kx)
-    assert out[1].y == pytest.approx(0.0, abs=1e-9)
-    assert out[2].y == pytest.approx(0.01 * M_PER_DEG_LAT)
-    assert [p.t for p in out] == [0.0, 1.0, 2.0]
+    assert out[1, 0] == pytest.approx(0.01 * kx)
+    assert out[1, 1] == pytest.approx(0.0, abs=1e-9)
+    assert out[2, 1] == pytest.approx(0.01 * M_PER_DEG_LAT)
+    assert [row[2] for row in out.tolist()] == [0.0, 1.0, 2.0]
 
 
-def test_project_equirectangular_empty():
-    assert project_equirectangular([]) == []
+def test_project_equirectangular_one_row_is_the_origin():
+    assert project_equirectangular(view_of([(-74.0, 40.0, 5.0)])).tolist() == [
+        [0.0, 0.0, 5.0]
+    ]

@@ -6,6 +6,8 @@ import math
 import pytest
 
 from trajsimp.datagen import gen_grid_route, gen_random_walk
+from trajsimp.errors import DataError
+from trajsimp.fitting import FitConfig
 from trajsimp.harness import (
     ALGORITHMS,
     RunConfig,
@@ -49,6 +51,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=msg):
             RunConfig(input="x.csv", **kwargs)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_checks_every_zeta_when_built(self, bad):
+        with pytest.raises(ValueError, match="zeta must be finite and > 0"):
+            RunConfig(input="/nonexistent.csv", zeta_list=(10.0, bad))
+
     def test_fit_config_carries_the_toggles(self):
         cfg = RunConfig(
             input="x.csv",
@@ -62,6 +69,13 @@ class TestRunConfig:
 
 
 class TestCompressCorpus:
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_a_refused_point_names_its_trajectory(self, algo):
+        corpus = {"ok": [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)],
+                  "far": [(0.0, 0.0, 0.0), (1e308, 0.0, 1.0)]}
+        with pytest.raises(DataError, match="^trajectory 'far' point 1: coordinate"):
+            compress_corpus(corpus, algo, FitConfig(1.0))
+
     def test_assigns_traj_ids_and_keeps_key_order(self, corpus):
         cfg = RunConfig(input="unused").fit_config(20.0)
         reps = compress_corpus(corpus, "operb", cfg)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import tracemalloc
+from array import array
 from importlib import resources
 
 import pytest
@@ -11,7 +12,12 @@ import pytest
 from trajsimp.datagen import gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
 from trajsimp.fitting import FitConfig
-from trajsimp.geometry import M_PER_DEG_LAT, Point, project_equirectangular
+from trajsimp.geometry import (
+    M_PER_DEG_LAT,
+    Point,
+    project_equirectangular,
+    rows_view,
+)
 from trajsimp.harness import ALGORITHMS, compress_corpus
 from trajsimp.io import (
     INPUT_COLUMNS,
@@ -128,7 +134,8 @@ class TestIngest:
 
     def test_geo_corpus_stays_columnar(self, tmp_path):
         """Projecting each trajectory's view gives the numbers, and so the
-        segments, that projecting its rows as a list of Points gives."""
+        segments, that projecting a view of its rows alone and reading the
+        result as a list of Points gives."""
         rows = [
             (f"v{k}", float(i), -74.0 + p.x * 1e-5, 40.0 + k + p.y * 1e-5)
             for k in range(3)
@@ -138,10 +145,13 @@ class TestIngest:
         rows.sort(key=lambda r: r[1])  # a feed that interleaves vehicles
         path = TestRowOrder.write_rows(tmp_path, "geo.csv", rows)
         views = ingest_csv(path, geo=True)
-        points = {}
+        bufs = {}
         for tid, t, x, y in rows:
-            points.setdefault(tid, []).append(Point(x, y, t))
-        points = {tid: project_equirectangular(pts) for tid, pts in points.items()}
+            bufs.setdefault(tid, array("d")).extend((x, y, t))
+        points = {
+            tid: [Point(*r) for r in project_equirectangular(rows_view(buf)).tolist()]
+            for tid, buf in bufs.items()
+        }
         assert list(views) == list(points)
         for tid, pts in points.items():
             assert type(views[tid]) is memoryview

@@ -377,6 +377,32 @@ class TestEncoderContract:
             assert str(batch.value) == str(pushed.value)
             assert str(batch.value).startswith(f"point {k}: ")
 
+    @pytest.mark.parametrize("mode", [Mode.OPERB, Mode.OPERB_A])
+    def test_refuses_a_coordinate_the_arithmetic_cannot_carry(self, mode):
+        """A finite coordinate past coord_limit(zeta) is refused before any
+        state changes, so the encoder goes on as if it never came; a far
+        point that would first break the segment is refused the same way."""
+        cfg = FitConfig(zeta=1.0)
+        enc = OperbEncoder(cfg, mode, (0.0, 0.0, 0.0))
+        with pytest.raises(DataError, match="^point 1: coordinate beyond 1e\\+100"):
+            enc.push((1e308, 1e308, 1.0))
+        assert enc.push((1.0, 0.0, 1.0)) == []
+        with pytest.raises(DataError, match="^point 0: coordinate beyond"):
+            OperbEncoder(cfg, mode, (0.0, -1e101, 0.0))
+        with pytest.raises(DataError, match="^point 1: coordinate beyond 1e-08"):
+            simplify([(0, 0, 0), (1, 0, 1), (2, 1, 2)], FitConfig(zeta=1e-308), mode)
+        traj = gen_random_walk(80, seed=4)
+        expect = simplify(traj, FitConfig(zeta=8.0), mode).segments
+        enc = OperbEncoder(FitConfig(zeta=8.0), mode, traj[0])
+        segs = []
+        for i, p in enumerate(traj[1:], 1):
+            for far in ((1e200, p.y, p.t), (p.x, -1e200, p.t)):
+                with pytest.raises(DataError, match=f"^point {i}: coordinate"):
+                    enc.push(far)
+            segs.extend(enc.push(p))
+        segs.extend(enc.finish())
+        assert segs == expect
+
     def test_empty_input(self):
         with pytest.raises(ValueError):
             simplify([], FitConfig(zeta=1.0))
