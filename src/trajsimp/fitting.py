@@ -30,17 +30,16 @@ from typing import NamedTuple
 from .errors import DataError
 from .geometry import Point
 
-_HALF_PI = math.pi / 2.0
-_PI = math.pi
-_3_HALF_PI = 1.5 * math.pi
-
 K_CAP_LIMIT = 400_000
 
 
 def check_zeta(zeta: float) -> None:
-    """Raise ValueError unless zeta is a finite error bound above zero."""
+    """Raise ValueError unless zeta is a finite error bound above zero
+    whose half, the fit's length unit, does not round to zero."""
     if not (math.isfinite(zeta) and zeta > 0.0):
         raise ValueError(f"zeta must be finite and > 0, got {zeta}")
+    if 0.5 * zeta == 0.0:
+        raise ValueError(f"zeta must be at least 1e-323, got {zeta}")
 
 
 def coord_limit(zeta: float) -> float:
@@ -52,6 +51,14 @@ def coord_limit(zeta: float) -> float:
     zeta keeps radius / zeta finite in ``zone_index``.
     """
     return min(1e100, 1e300 * zeta)
+
+
+# try_patch takes a patch point G only while G and the two line starts it
+# is computed from lie within PATCH_REACH * zeta of the origin: G's rounding
+# grows with those coordinates, and on random walks and grid routes the
+# patched lines missed the bound from about 2**53 * zeta on; 2**44 leaves a
+# margin of 2**9.
+PATCH_REACH = 2.0 ** 44
 
 
 def coord_error(k: int, x: float, y: float, lim: float) -> DataError:
@@ -126,23 +133,3 @@ class FitState(NamedTuple):
     ra_cos: float
     ra_sin: float
 
-
-def _sign_from_diff(a: float) -> int:
-    """Rotation sense (+1 counter-clockwise, -1 clockwise) that turns the
-    fitted line toward a point whose bearing differs from it by a.
-
-    a is the raw difference of two bearings in [0, 2*pi), so it spans
-    (-2*pi, 2*pi). +1 exactly on (-2*pi, -3*pi/2] + [-pi, -pi/2] +
-    [0, pi/2] + [pi, 3*pi/2), -1 otherwise. Interval endpoints are
-    intentional: the half-open bounds make the map total and keep a turn of
-    exactly pi counter-clockwise.
-    """
-    if 0.0 <= a <= _HALF_PI:
-        return 1
-    if _PI <= a < _3_HALF_PI:
-        return 1
-    if -_PI <= a <= -_HALF_PI:
-        return 1
-    if a <= -_3_HALF_PI:
-        return 1
-    return -1

@@ -6,13 +6,13 @@ and serialization stay outside that clock.  Ingest is timed on its own.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from math import pi
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .baselines import dp_simplify, fbqs_simplify, opw_simplify
 from .errors import DataError
-from .fitting import K_CAP_LIMIT, FitConfig, check_zeta
+from .fitting import K_CAP_LIMIT, FitConfig
 from .geometry import Point
 from .metrics import CompressionStats, compute_stats
 from .io import ingest_csv
@@ -47,10 +47,10 @@ class RunConfig:
                 raise ValueError(f"unknown algorithm {name!r}")
         if not self.zeta_list:
             raise ValueError("zeta_list must not be empty")
-        for zeta in self.zeta_list:
-            check_zeta(zeta)
         if len(self.opts) != 5:
             raise ValueError("opts must have exactly 5 entries")
+        for zeta in self.zeta_list:
+            self.fit_config(zeta)
 
     def fit_config(self, zeta: float) -> FitConfig:
         o1, o2, o3, o4, o5 = self.opts

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import DataError
-from .fitting import (FitConfig, FitState, _sign_from_diff, coord_error,
+from .fitting import (PATCH_REACH, FitConfig, FitState, coord_error,
                       coord_limit, zone_index)
 from .geometry import Point, iter_points, norm_angle
 
@@ -106,6 +106,7 @@ def try_patch(
     forward of prev.start on prev's line, strictly behind nxt.start on
     nxt's line, reach at least to zeta/2 short of prev's end, and the turn
     between the two lines must be at least gamma_m away from collinear.
+    G and both line starts must lie within PATCH_REACH * zeta of the origin.
     G's timestamp is the midpoint of the anomalous segment's endpoint times.
     """
     len1, th1, c1, s1 = _line(prev.start, prev.end)
@@ -121,6 +122,9 @@ def try_patch(
     u = ((x2 - x1) * s2 - (y2 - y1) * c2) / (c1 * s2 - s1 * c2)
     gx = x1 + u * c1
     gy = y1 + u * s1
+    reach = PATCH_REACH * cfg.zeta
+    if not max(abs(gx), abs(gy), abs(x1), abs(y1), abs(x2), abs(y2)) < reach:
+        return None
     # Directional membership: on the forward ray of prev, behind nxt.start.
     fwd = (gx - x1) * c1 + (gy - y1) * s1
     if fwd <= 0.0:
@@ -141,7 +145,9 @@ def try_patch(
     )
     if not ok_turn:
         return None
-    return Point(gx, gy, 0.5 * (anom.start.t + anom.end.t))
+    # Halved first, so the sum of two timestamps near the float range
+    # cannot overflow.
+    return Point(gx, gy, 0.5 * anom.start.t + 0.5 * anom.end.t)
 
 
 class OperbEncoder:
@@ -211,7 +217,6 @@ class OperbEncoder:
         # Coordinates past lim would overflow the fit's arithmetic.
         lim = coord_limit(zeta)
         nlim = -lim
-        sign_from_diff = _sign_from_diff
         zone = zone_index
         norm = norm_angle
         line = _line
@@ -341,16 +346,12 @@ class OperbEncoder:
                         d = -d_signed if d_signed < 0.0 else d_signed
                         # Rotation sense toward p: d_signed*dot has the sign
                         # of -sin(2*(theta_R - theta_L))/2, which is negative
-                        # exactly where the sense is +1. A zero product is
-                        # ambiguous (sin and cos repeat half a turn apart)
-                        # and falls back to the raw angles.
+                        # exactly where the sense is +1. It is zero when p
+                        # lies on L's line, where the sense changes nothing
+                        # (d = 0, so the step is 0), or square to L, where
+                        # p lies counter-clockwise of L if d_signed < 0.
                         prod = d_signed * (dx * fcos + dy * fsin)
-                        if prod < 0.0:
-                            fpos = True
-                        elif prod > 0.0:
-                            fpos = False
-                        else:
-                            fpos = sign_from_diff(norm(atan2(dy, dx)) - fth) > 0
+                        fpos = prod < 0.0 or (prod == 0.0 and d_signed <= 0.0)
                         if fpos:
                             plus = dplus if dplus > d else d
                             minus = dminus

@@ -38,6 +38,13 @@ class TestCommonContract:
             with pytest.raises(ValueError, match="zeta must be finite and > 0"):
                 algo(M_SHAPE, zeta)
 
+    def test_zeta_whose_half_is_zero_raises(self, algo):
+        tiny = [P(0, 0, 0), P(1e-30, 0, 1), P(2e-30, 1e-30, 2),
+                P(3e-30, -1e-30, 3), P(0, 5e-30, 4)]
+        with pytest.raises(ValueError, match="zeta must be at least 1e-323"):
+            algo(tiny, 5e-324)
+        assert verify_error_bound(algo(tiny, 1e-323), tiny, 1e-323)[0]
+
     def test_single_point(self, algo):
         rep = algo([P(1, 2, 3)], 1.0)
         assert rep.segments == [Segment(P(1, 2, 3), P(1, 2, 3), 1)]

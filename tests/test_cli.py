@@ -171,6 +171,18 @@ class TestCompare:
         assert "--epsilon-list is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, msg", [
+    (["compress", "--epsilon", "5e-324"], "zeta must be at least 1e-323"),
+    (["compress", "--epsilon", "5", "--gamma-m", "4"], "gamma_m must be in [0, pi]"),
+    (["compare", "--gamma-m", "4"], "gamma_m must be in [0, pi]"),
+])
+def test_bad_fit_config_exits_1_before_reading_the_input(tmp_path, capsys, argv, msg):
+    missing = str(tmp_path / "missing.csv")
+    out = ["--output", str(tmp_path / "o.out")]
+    assert main(argv + ["--input", missing] + out) == 1
+    assert msg in capsys.readouterr().err
+
+
 class TestVerify:
     def test_clean_corpus_passes(self, corpus_csv, capsys):
         rc = main(["verify", "--input", corpus_csv, "--epsilon", "20",
@@ -232,9 +244,10 @@ def test_far_coordinate_exits_2_naming_trajectory_and_point(tmp_path, capsys):
         )
 
 
-def _random_walk_rows():
+def _random_walk_rows(n=40, offset=0.0, step=5.0):
     return "".join(
-        f"w,{p.t!r},{p.x!r},{p.y!r}\n" for p in gen_random_walk(40, seed=3)
+        f"w,{p.t!r},{p.x + offset!r},{p.y + offset!r}\n"
+        for p in gen_random_walk(n, seed=3, step=step)
     )
 
 
@@ -242,6 +255,9 @@ def _random_walk_rows():
 HOSTILE = {
     "huge": ("a,0,0,0\na,1,1e308,1e308\na,2,-1e308,-1e308\n", "1"),
     "tiny-epsilon": (_random_walk_rows(), "1e-310"),
+    # zeta below one ulp of the coordinates: a patch point's rounding
+    # would carry operb-a past the bound
+    "far-walk-tiny-epsilon": (_random_walk_rows(400, 1e6, 1.0), "1e-12"),
     "one-row": ("a,0,1,2\n", "1"),
     "truncated-quote": ('a,0,0,0\na,1,"1,1,1\na,2,2,2\n', "1"),
     "interleaved": ("a,0,0,0\nb,0,5,5\na,1,1,0\nb,1,5,9\na,2,2,1\nb,2,9,9\n", "1"),

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trajsimp.datagen import gen_stepwise_adversarial
-from trajsimp.fitting import K_CAP_LIMIT, FitConfig, _sign_from_diff, zone_index
-from trajsimp.geometry import Point, norm_angle
+from trajsimp.fitting import K_CAP_LIMIT, FitConfig, zone_index
+from trajsimp.geometry import Point
 from trajsimp.onepass import OperbEncoder, Segment
 
 
@@ -39,7 +39,7 @@ class TestFitConfig:
         assert cfg.opt1 and cfg.opt2 and cfg.opt3 and cfg.opt4 and cfg.opt5
         assert cfg.gamma_m == pytest.approx(math.pi / 3)
 
-    @pytest.mark.parametrize("zeta", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("zeta", [0.0, -1.0, math.inf, math.nan, 5e-324])
     def test_bad_zeta(self, zeta):
         with pytest.raises(ValueError):
             FitConfig(zeta=zeta)
@@ -188,26 +188,28 @@ class TestFitStep:
         assert enc.fit.points_in_segment == 1
 
 
-@given(
-    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-)
-def test_sign_from_diff_is_a_total_sign(t1, t2):
-    assert _sign_from_diff(norm_angle(t2) - norm_angle(t1)) in (1, -1)
+def square_point_state(x):
+    """Fit state after L points straight up from the origin and then the
+    point (x, 0), square to L, is pushed."""
+    cfg = FitConfig(zeta=1.0, opt1=False, opt3=False, opt4=False, opt5=False)
+    enc = OperbEncoder(cfg, first=Point(0.0, 0.0, 0.0))
+    assert enc.push(Point(0.0, 0.3, 1.0)) == []
+    assert enc.fit.fit_theta == math.pi / 2
+    assert enc.push(Point(x, 0.0, 2.0)) == []
+    return enc.fit
 
 
-def test_sign_from_diff_interval_boundaries():
-    sf = _sign_from_diff
-    assert sf(0.0) == 1
-    assert sf(math.pi / 2) == 1
-    assert sf(math.pi / 2 + 1e-9) == -1
-    assert sf(math.pi) == 1
-    assert sf(3 * math.pi / 2 - 1e-9) == 1
-    assert sf(3 * math.pi / 2) == -1
-    assert sf(-math.pi / 2) == 1
-    assert sf(-math.pi / 2 + 1e-9) == -1
-    assert sf(-math.pi) == 1
-    assert sf(-3 * math.pi / 2) == 1
+def test_a_point_square_to_the_line_turns_it_toward_itself():
+    # To the right of L: clockwise, and the deviation is booked on the
+    # minus side; to the left: counter-clockwise, on the plus side.
+    right = square_point_state(0.8)
+    assert right.fit_theta < math.pi / 2
+    assert right.d_minus_max == 0.8
+    assert right.d_plus_max == 0.0
+    left = square_point_state(-0.8)
+    assert left.fit_theta > math.pi / 2
+    assert left.d_plus_max == 0.8
+    assert left.d_minus_max == 0.0
 
 
 def test_stepwise_spiral_structure():

@@ -45,6 +45,8 @@ class TestRunConfig:
             ({"algorithms": ("operb", "ramer")}, "unknown algorithm"),
             ({"zeta_list": ()}, "zeta_list"),
             ({"opts": (True, False)}, "exactly 5"),
+            ({"gamma_m": 4.0}, "gamma_m must be in"),
+            ({"zeta_list": (10.0, 5e-324)}, "zeta must be at least 1e-323"),
         ],
     )
     def test_rejects_bad_fields(self, kwargs, msg):

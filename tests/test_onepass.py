@@ -209,6 +209,17 @@ class TestTryPatch:
         assert g.y == pytest.approx(0.0, abs=1e-12)
         assert g.t == 3.5
 
+    def test_patch_point_beyond_reach_is_not_taken(self):
+        # The right-angle patch moved right until G = (5, 0) + shift sits
+        # one unit short of PATCH_REACH * zeta = 2**44, then right on it.
+        nxt = Segment(P(5, 1, 5), P(5, 4, 8), 3)
+        for shift, expect in ((2.0**44 - 6, True), (2.0**44 - 5, False)):
+            moved = [Segment(P(s.start.x + shift, s.start.y, s.start.t),
+                             P(s.end.x + shift, s.end.y, s.end.t), s.covered)
+                     for s in (self.prev, self.anom, nxt)]
+            g = try_patch(*moved, self.cfg)
+            assert (g == P(5.0 + shift, 0.0, 4.5)) if expect else g is None
+
     @pytest.mark.parametrize("th1, th2", [(0.25, 6.0), (6.0, 0.25)])
     def test_turn_reads_the_raw_bearing_difference(self, th1, th2):
         # bearings 0.25 and 6.0 differ by 5.75 raw, a turn of 2*pi - 5.75
@@ -402,6 +413,17 @@ class TestEncoderContract:
             segs.extend(enc.push(p))
         segs.extend(enc.finish())
         assert segs == expect
+
+    @pytest.mark.parametrize("mode", [Mode.OPERB, Mode.OPERB_A])
+    def test_smallest_zeta_keeps_its_bound(self, mode):
+        # At 5e-324 half of zeta is 0, no line could be fitted and one
+        # segment would cover every point; such a zeta is refused.
+        traj = [P(0, 0, 0), P(1e-30, 0, 1), P(2e-30, 1e-30, 2),
+                P(3e-30, -1e-30, 3), P(0, 5e-30, 4)]
+        with pytest.raises(ValueError, match="zeta must be at least 1e-323"):
+            simplify(traj, FitConfig(zeta=5e-324), mode)
+        rep = simplify(traj, FitConfig(zeta=1e-323), mode)
+        assert verify_error_bound(rep, traj, 1e-323)[0]
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
@@ -616,6 +638,27 @@ def test_error_bound_holds_with_defaults(traj, zeta):
     rep = simplify(traj, FitConfig(zeta=zeta))
     ok, violations = verify_error_bound(rep, traj, zeta)
     assert ok, violations
+
+
+def test_patch_times_stay_finite_and_increasing():
+    traj = [P(p.x, p.y, 1.70e308 + i * 1e305)
+            for i, p in enumerate(gen_random_walk(60, 3, step=1.0))]
+    rep = simplify(traj, FitConfig(zeta=0.2), Mode.OPERB_A)
+    assert rep.patches > 0
+    times = [rep.segments[0].start.t] + [s.end.t for s in rep]
+    assert all(math.isfinite(t) for t in times)
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert all(s.start.t == t for s, t in zip(rep, times))
+
+
+@pytest.mark.parametrize("offset, zeta", [(1e6, 1e-12), (0.0, 1e-15)])
+def test_patches_keep_the_bound_where_zeta_nears_an_ulp(offset, zeta):
+    """Once the coordinates reach 2**44 * zeta, G's rounding could carry
+    the patched lines past zeta, so such patches are not taken."""
+    traj = [P(p.x + offset, p.y + offset, p.t)
+            for p in gen_random_walk(2000, 3, step=1.0)]
+    rep = simplify(traj, FitConfig(zeta=zeta), Mode.OPERB_A)
+    assert verify_error_bound(rep, traj, zeta) == (True, [])
 
 
 def _parked_route(n, seed):
