@@ -30,8 +30,6 @@ from typing import NamedTuple
 from .errors import DataError
 from .geometry import Point
 
-K_CAP_LIMIT = 400_000
-
 
 def check_zeta(zeta: float) -> None:
     """Raise ValueError unless zeta is a finite error bound above zero
@@ -75,7 +73,6 @@ class FitConfig:
     """Parameters shared by one compression run."""
 
     zeta: float
-    k_cap: int = K_CAP_LIMIT
     opt1: bool = True
     opt2: bool = True
     opt3: bool = True
@@ -85,8 +82,6 @@ class FitConfig:
 
     def __post_init__(self):
         check_zeta(self.zeta)
-        if not (1 <= self.k_cap <= K_CAP_LIMIT):
-            raise ValueError(f"k_cap must be in [1, {K_CAP_LIMIT}], got {self.k_cap}")
         if not (0.0 <= self.gamma_m <= math.pi):
             raise ValueError(f"gamma_m must be in [0, pi], got {self.gamma_m}")
 
@@ -111,7 +106,7 @@ class FitState(NamedTuple):
     returns it; the encoder's kernel keeps the live values in its locals.
 
     points_in_segment counts points consumed after the anchor, so it equals
-    the index offset of the newest consumed point and stays <= k_cap.
+    the index offset of the newest consumed point.
 
     The fitted line and the radial segment to the last active point are
     kept unpacked (length, theta, direction cosines) because the per-point

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .baselines import dp_simplify, fbqs_simplify, opw_simplify
 from .errors import DataError
-from .fitting import K_CAP_LIMIT, FitConfig
+from .fitting import FitConfig
 from .geometry import Point
 from .metrics import CompressionStats, compute_stats
 from .io import ingest_csv
@@ -128,7 +128,6 @@ def run_compare(cfg: RunConfig) -> dict:
             "zeta_list": list(cfg.zeta_list),
             "gamma_m": cfg.gamma_m,
             "opts": "".join("1" if o else "0" for o in cfg.opts),
-            "k_cap": K_CAP_LIMIT,
             "geo": cfg.geo,
         },
         "results": results,

@@ -3,8 +3,9 @@
 Input schema: ``traj_id,t,x,y`` with a header row.  Rows may interleave
 trajectories; within one trajectory timestamps must not decrease.  Rows
 that repeat the previous timestamp of their trajectory are dropped
-(first occurrence wins); a decrease, a non-finite t/x/y or a wrong field
-count is a hard error naming the line.  Blank lines are skipped.
+(first occurrence wins); a decrease, a non-finite t/x/y, a traj_id, t, x
+or y that is not UTF-8, a wrong field count or a row the csv module
+refuses is a hard error naming the line.  Blank lines are skipped.
 
 ``ingest_csv`` keeps each trajectory as one flat float64 buffer and
 returns it as a trajectory view (see ``geometry``): an ``(n, 3)``
@@ -50,56 +51,67 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, memoryview]:
     """
     bufs: Dict[str, array] = {}  # x, y, t of each trajectory's rows
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        # Bytes that are not UTF-8 decode to lone surrogates, so that they
+        # fail the checks below on the line they sit on.
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape",
+                  newline="")
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected header {INPUT_COLUMNS}")
-        missing = set(INPUT_COLUMNS) - set(header)
-        if missing:
-            raise DataError(f"{path}: header is missing columns {sorted(missing)}")
-        # A repeated column name resolves to its last occurrence.
-        col = {name: i for i, name in enumerate(header)}
-        i_id, i_t, i_x, i_y = (col[name] for name in INPUT_COLUMNS)
-        width = len(header)
-        isfinite = math.isfinite
 
         def bad_row(problem: str) -> DataError:
             # Physical line numbers, blank lines included, as editors show.
             return DataError(f"{path} row {reader.line_num}: {problem}")
 
-        for row in reader:
-            if not row:
-                continue  # blank line
-            if len(row) != width:
-                raise bad_row(f"expected {width} fields")
-            traj_id = row[i_id]
-            if not traj_id:
-                raise bad_row("empty traj_id")
-            try:
-                t = float(row[i_t])
-                x = float(row[i_x])
-                y = float(row[i_y])
-            except ValueError:
-                raise bad_row("non-numeric t/x/y") from None
-            if not (isfinite(t) and isfinite(x) and isfinite(y)):
-                raise bad_row("non-finite t/x/y")
-            buf = bufs.get(traj_id)
-            if buf is None:
-                bufs[traj_id] = buf = array("d")
-            else:
-                prev = buf[-1]  # the trajectory's last timestamp
-                if t == prev:
-                    continue
-                if t < prev:
-                    raise bad_row(
-                        f"trajectory {traj_id!r} timestamp {t!r} goes backwards "
-                        f"from {prev!r}"
-                    )
-            buf.fromlist([x, y, t])
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected header {INPUT_COLUMNS}")
+            missing = set(INPUT_COLUMNS) - set(header)
+            if missing:
+                raise DataError(f"{path}: header is missing columns {sorted(missing)}")
+            # A repeated column name resolves to its last occurrence.
+            col = {name: i for i, name in enumerate(header)}
+            i_id, i_t, i_x, i_y = (col[name] for name in INPUT_COLUMNS)
+            width = len(header)
+            isfinite = math.isfinite
+
+            for row in reader:
+                if not row:
+                    continue  # blank line
+                if len(row) != width:
+                    raise bad_row(f"expected {width} fields")
+                traj_id = row[i_id]
+                if not traj_id:
+                    raise bad_row("empty traj_id")
+                try:
+                    t = float(row[i_t])
+                    x = float(row[i_x])
+                    y = float(row[i_y])
+                except ValueError:
+                    raise bad_row("non-numeric t/x/y") from None
+                if not (isfinite(t) and isfinite(x) and isfinite(y)):
+                    raise bad_row("non-finite t/x/y")
+                buf = bufs.get(traj_id)
+                if buf is None:
+                    try:
+                        traj_id.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise bad_row("traj_id is not UTF-8") from None
+                    bufs[traj_id] = buf = array("d")
+                else:
+                    prev = buf[-1]  # the trajectory's last timestamp
+                    if t == prev:
+                        continue
+                    if t < prev:
+                        raise bad_row(
+                            f"trajectory {traj_id!r} timestamp {t!r} goes backwards "
+                            f"from {prev!r}"
+                        )
+                buf.fromlist([x, y, t])
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise bad_row(str(exc)) from None
     if not bufs:
         raise DataError(f"{path}: no data rows")
     corpus = {tid: rows_view(buf) for tid, buf in bufs.items()}

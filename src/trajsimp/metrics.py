@@ -19,6 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import InvariantError
+from .fitting import check_zeta
 from .geometry import Point
 from .onepass import PiecewiseRepresentation
 
@@ -95,7 +96,9 @@ def verify_error_bound(
     """Check every point against the zeta bound with relative slack 1e-9.
 
     Returns (ok, violations) where violations lists (point_index, distance).
+    Raises ValueError for a zeta that FitConfig refuses.
     """
+    check_zeta(zeta)
     dists = _segment_distances(rep, traj)
     limit = zeta * (1.0 + BOUND_SLACK)
     # Written as "not within" so that a NaN distance counts as a violation.

@@ -164,7 +164,7 @@ class OperbEncoder:
             if not (-_INF < t + 0.0 < _INF and -lim < x + 0.0 < lim
                     and -lim < y + 0.0 < lim):
                 raise _point_error(0, first, -_INF, lim)
-        except (TypeError, ValueError, ArithmeticError) as exc:
+        except Exception as exc:  # what the kernel refuses for any later point
             raise _refused(0, exc)
         if type(first) is not Point:
             first = Point(x, y, t)
@@ -206,13 +206,11 @@ class OperbEncoder:
         opt3 = cfg.opt3
         opt4 = cfg.opt4
         opt5 = cfg.opt5
-        k_cap = cfg.k_cap
         sqrt = math.sqrt
         asin = math.asin
         atan2 = math.atan2
         sin = math.sin
         cos = math.cos
-        hypot = math.hypot
         inf = math.inf
         # Coordinates past lim would overflow the fit's arithmetic.
         lim = coord_limit(zeta)
@@ -302,12 +300,9 @@ class OperbEncoder:
                 # which always takes it.
                 while True:
                     if ab is not None:
-                        if ab_len == 0.0:
-                            d_ab = hypot(px - ab_x, py - ab_y)
-                        else:
-                            d_ab = (px - ab_x) * ab_sin - (py - ab_y) * ab_cos
-                            if d_ab < 0.0:
-                                d_ab = -d_ab
+                        d_ab = (px - ab_x) * ab_sin - (py - ab_y) * ab_cos
+                        if d_ab < 0.0:
+                            d_ab = -d_ab
                         if d_ab <= zeta:
                             ab.covered += 1
                             break
@@ -315,101 +310,101 @@ class OperbEncoder:
                         # fresh fit.
                         dispatch(ab)
                         ab = None
-                    if cnt < k_cap:
-                        dx = px - ax
-                        dy = py - ay
-                        r_len = sqrt(dx * dx + dy * dy)
-                        if flen == 0.0:
-                            # No fitted line yet: a point inside the
-                            # first-active radius is within zeta of any line
-                            # through the anchor, so no distance test.
-                            if r_len > thr0:
-                                # First active point: L snaps to the radial
-                                # bearing.
-                                j = zone(r_len, zeta)
-                                inv = 1.0 / r_len
-                                flen = j * half
-                                fth = norm(atan2(dy, dx))
-                                fcos = dx * inv
-                                fsin = dy * inv
-                                racos = fcos
-                                rasin = fsin
-                                if type(p) is not point:
-                                    # Another (x, y, t) triple: la is read
-                                    # by .x/.y and may become an endpoint.
-                                    p = point(px, py, pt)
-                                la = p
-                                lz = j
-                            cnt += 1
-                            break
-                        d_signed = dx * fsin - dy * fcos
-                        d = -d_signed if d_signed < 0.0 else d_signed
-                        # Rotation sense toward p: d_signed*dot has the sign
-                        # of -sin(2*(theta_R - theta_L))/2, which is negative
-                        # exactly where the sense is +1. It is zero when p
-                        # lies on L's line, where the sense changes nothing
-                        # (d = 0, so the step is 0), or square to L, where
-                        # p lies counter-clockwise of L if d_signed < 0.
-                        prod = d_signed * (dx * fcos + dy * fsin)
-                        fpos = prod < 0.0 or (prod == 0.0 and d_signed <= 0.0)
-                        if fpos:
-                            plus = dplus if dplus > d else d
-                            minus = dminus
-                        else:
-                            plus = dplus
-                            minus = dminus if dminus > d else d
-                        if (plus + minus <= zeta) if opt2 else (d <= half):
-                            if r_len - flen <= quarter:
-                                d_ra = dx * rasin - dy * racos
-                                if d_ra < 0.0:
-                                    d_ra = -d_ra
-                                if d_ra <= zeta:
-                                    cnt += 1
-                                    dplus = plus
-                                    dminus = minus
-                                    break
-                            else:
-                                # Case (3): stretch to the new zone and
-                                # rotate toward p.
-                                j = zone(r_len, zeta)
-                                jl = j * half
+                    dx = px - ax
+                    dy = py - ay
+                    r_len = sqrt(dx * dx + dy * dy)
+                    if flen == 0.0:
+                        # No fitted line yet: a point inside the
+                        # first-active radius is within zeta of any line
+                        # through the anchor, so no distance test.
+                        if r_len > thr0:
+                            # First active point: L snaps to the radial
+                            # bearing.
+                            j = zone(r_len, zeta)
+                            inv = 1.0 / r_len
+                            flen = j * half
+                            fth = norm(atan2(dy, dx))
+                            fcos = dx * inv
+                            fsin = dy * inv
+                            racos = fcos
+                            rasin = fsin
+                            if type(p) is not point:
+                                # Another (x, y, t) triple: la is read
+                                # by .x/.y and may become an endpoint.
+                                p = point(px, py, pt)
+                            la = p
+                            lz = j
+                        cnt += 1
+                        break
+                    d_signed = dx * fsin - dy * fcos
+                    d = -d_signed if d_signed < 0.0 else d_signed
+                    # Rotation sense toward p: d_signed*dot has the sign
+                    # of -sin(2*(theta_R - theta_L))/2, which is negative
+                    # exactly where the sense is +1. It is zero when p
+                    # lies on L's line, where the sense changes nothing
+                    # (d = 0, so the step is 0), or square to L, where
+                    # p lies counter-clockwise of L if d_signed < 0.
+                    prod = d_signed * (dx * fcos + dy * fsin)
+                    fpos = prod < 0.0 or (prod == 0.0 and d_signed <= 0.0)
+                    if fpos:
+                        plus = dplus if dplus > d else d
+                        minus = dminus
+                    else:
+                        plus = dplus
+                        minus = dminus if dminus > d else d
+                    if (plus + minus <= zeta) if opt2 else (d <= half):
+                        if r_len - flen <= quarter:
+                            d_ra = dx * rasin - dy * racos
+                            if d_ra < 0.0:
+                                d_ra = -d_ra
+                            if d_ra <= zeta:
+                                cnt += 1
                                 dplus = plus
                                 dminus = minus
-                                d_x = d
-                                if opt3:
-                                    ex = plus if fpos else minus
-                                    u = d / jl
-                                    if u > 1.0:
-                                        u = 1.0
-                                    a_full = j * asin(u)
-                                    cap = jl if a_full >= half_pi else jl * sin(a_full)
-                                    d_x = ex if ex < cap else cap
-                                dj = (j - lz) if opt4 else 1
-                                arg = d_x / jl
-                                if arg > 1.0:
-                                    arg = 1.0
-                                step = asin(arg) * (dj / j)
-                                fth = norm(fth + step if fpos else fth - step)
-                                fcos = cos(fth)
-                                fsin = sin(fth)
-                                inv = 1.0 / r_len
-                                flen = jl
-                                racos = dx * inv
-                                rasin = dy * inv
-                                if type(p) is not point:
-                                    p = point(px, py, pt)
-                                la = p
-                                lz = j
-                                cnt += 1
                                 break
-                    # p breaks the segment: close it at the last active point
-                    # and start a fresh fit there.
+                        else:
+                            # Case (3): stretch to the new zone and
+                            # rotate toward p.
+                            j = zone(r_len, zeta)
+                            jl = j * half
+                            dplus = plus
+                            dminus = minus
+                            d_x = d
+                            if opt3:
+                                ex = plus if fpos else minus
+                                u = d / jl
+                                if u > 1.0:
+                                    u = 1.0
+                                a_full = j * asin(u)
+                                cap = jl if a_full >= half_pi else jl * sin(a_full)
+                                d_x = ex if ex < cap else cap
+                            dj = (j - lz) if opt4 else 1
+                            arg = d_x / jl
+                            if arg > 1.0:
+                                arg = 1.0
+                            step = asin(arg) * (dj / j)
+                            fth = norm(fth + step if fpos else fth - step)
+                            fcos = cos(fth)
+                            fsin = sin(fth)
+                            inv = 1.0 / r_len
+                            flen = jl
+                            racos = dx * inv
+                            rasin = dy * inv
+                            if type(p) is not point:
+                                p = point(px, py, pt)
+                            la = p
+                            lz = j
+                            cnt += 1
+                            break
+                    # p breaks the segment, which only a fitted line can do:
+                    # close it at the last active point, more than thr0 from
+                    # the anchor, and start a fresh fit there.
                     seg = Segment(anchor, la, 1 + cnt)
                     if opt5:
                         ab = seg
                         ab_x = ax
                         ab_y = ay
-                        ab_len, _, ab_cos, ab_sin = line(anchor, la)
+                        _, _, ab_cos, ab_sin = line(anchor, la)
                     else:
                         dispatch(seg)
                     anchor = la

@@ -261,6 +261,8 @@ HOSTILE = {
     "one-row": ("a,0,1,2\n", "1"),
     "truncated-quote": ('a,0,0,0\na,1,"1,1,1\na,2,2,2\n', "1"),
     "interleaved": ("a,0,0,0\nb,0,5,5\na,1,1,0\nb,1,5,9\na,2,2,1\nb,2,9,9\n", "1"),
+    "long-field": ("a,0,0,0\na,1," + "1" * 131_073 + ",0\n", "1"),
+    "not-utf8": (b"a,0,0,0\na,1,\xff\xfe,0\n", "1"),
 }
 
 
@@ -270,7 +272,10 @@ def test_hostile_input_gets_a_defined_exit(tmp_path, capsys, name, algo):
     """Exit 0, 2 or 3 and no traceback; output compress writes passes verify."""
     rows, epsilon = HOSTILE[name]
     path = tmp_path / "in.csv"
-    path.write_text("traj_id,t,x,y\n" + rows)
+    if isinstance(rows, bytes):
+        path.write_bytes(b"traj_id,t,x,y\n" + rows)
+    else:
+        path.write_text("traj_id,t,x,y\n" + rows)
     common = ["--input", str(path), "--epsilon", epsilon, "--algo", algo]
     codes = []
     for verb, extra in (("compress", ["--output", str(tmp_path / "segs.csv")]),

@@ -1,9 +1,11 @@
-"""The demo scripts run cleanly and the package's public names resolve.
+"""The demo scripts run cleanly, and the package's public names and config
+fields are the pinned ones.
 
 Demos import from the package top level, so they break first when a name
 leaves ``trajsimp.__all__``.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -75,4 +77,14 @@ def test_public_names_are_pinned():
         "simplify",
         "verify_error_bound",
         "write_corpus",
+    ]
+
+
+def test_config_fields_are_pinned():
+    # A knob joining or leaving a config is a deliberate edit here.
+    assert [f.name for f in dataclasses.fields(trajsimp.FitConfig)] == [
+        "zeta", "opt1", "opt2", "opt3", "opt4", "opt5", "gamma_m",
+    ]
+    assert [f.name for f in dataclasses.fields(trajsimp.RunConfig)] == [
+        "input", "output", "algorithms", "zeta_list", "gamma_m", "opts", "geo",
     ]

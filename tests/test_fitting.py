@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trajsimp.datagen import gen_stepwise_adversarial
-from trajsimp.fitting import K_CAP_LIMIT, FitConfig, zone_index
+from trajsimp.fitting import FitConfig, zone_index
 from trajsimp.geometry import Point
 from trajsimp.onepass import OperbEncoder, Segment
 
@@ -35,7 +35,6 @@ def seeded_encoder(cfg):
 class TestFitConfig:
     def test_defaults(self):
         cfg = FitConfig(zeta=1.0)
-        assert cfg.k_cap == K_CAP_LIMIT
         assert cfg.opt1 and cfg.opt2 and cfg.opt3 and cfg.opt4 and cfg.opt5
         assert cfg.gamma_m == pytest.approx(math.pi / 3)
 
@@ -43,15 +42,6 @@ class TestFitConfig:
     def test_bad_zeta(self, zeta):
         with pytest.raises(ValueError):
             FitConfig(zeta=zeta)
-
-    @pytest.mark.parametrize("k_cap", [0, -5, K_CAP_LIMIT + 1])
-    def test_bad_k_cap(self, k_cap):
-        with pytest.raises(ValueError):
-            FitConfig(zeta=1.0, k_cap=k_cap)
-
-    def test_k_cap_limit_itself_is_fine(self):
-        FitConfig(zeta=1.0, k_cap=K_CAP_LIMIT)
-        FitConfig(zeta=1.0, k_cap=1)
 
     @pytest.mark.parametrize("gm", [-0.1, math.pi + 0.1, math.nan])
     def test_bad_gamma(self, gm):
@@ -109,13 +99,6 @@ class TestClassify:
         enc = seeded_encoder(cfg_with(opt2=True, opt5=False))
         assert enc.push(p) == []
         assert enc.fit.last_active == p
-
-    def test_k_cap_forces_break(self):
-        cfg = FitConfig(zeta=1.0, k_cap=1, opt5=False)
-        enc = OperbEncoder(cfg, first=Point(0.0, 0.0))
-        assert enc.push(Point(0.1, 0.0, 1.0)) == []
-        assert enc.fit.points_in_segment == 1
-        assert len(enc.push(Point(0.2, 0.0, 2.0))) == 1
 
 
 class TestFitStep:

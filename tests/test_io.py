@@ -103,6 +103,26 @@ class TestIngest:
         with pytest.raises(DataError, match="row 3: non-finite t/x/y"):
             ingest_csv(write(tmp_path, text))
 
+    def test_oversized_field_names_its_line(self, tmp_path):
+        text = "traj_id,t,x,y\na,0,0,0\na,1," + "1" * 131_073 + ",0\n"
+        with pytest.raises(DataError, match="row 3: field larger than field limit"):
+            ingest_csv(write(tmp_path, text))
+
+    @pytest.mark.parametrize("row, problem", [
+        (b"a,1,\xff\xfe,0", "non-numeric t/x/y"),
+        (b"\xff\xfe,1,1,0", "traj_id is not UTF-8"),
+    ])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, row, problem):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"traj_id,t,x,y\na,0,0,0\n" + row + b"\n")
+        with pytest.raises(DataError, match=f"row 3: {problem}"):
+            ingest_csv(str(path))
+
+    def test_bytes_that_are_not_utf8_in_an_unread_column_are_ignored(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"traj_id,t,x,y,note\na,0,1,2,\xff\xfe\n")
+        assert ingest_csv(str(path))["a"].tolist() == [[1, 2, 0]]
+
     def test_errors_name_the_physical_line(self, tmp_path):
         path = write(tmp_path, "traj_id,t,x,y\na,0,0,0\n\n\na,1,1,1\na,0.5,2,2\n")
         with pytest.raises(DataError, match="row 6: trajectory 'a' timestamp 0.5"):

@@ -184,6 +184,12 @@ class TestVerifyErrorBound:
         assert len(violations) == 1
         assert violations[0][0] == 1 and math.isnan(violations[0][1])
 
+    @pytest.mark.parametrize("zeta", [math.inf, -1.0, math.nan, 0.0, 5e-324])
+    def test_refuses_the_zetas_fit_config_refuses(self, zeta):
+        rep = dp_simplify(TENT, 1.5)
+        with pytest.raises(ValueError, match="zeta must be"):
+            verify_error_bound(rep, TENT, zeta)
+
 
 class TestCorpusStats:
     def test_compression_ratio(self):

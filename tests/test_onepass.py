@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from trajsimp.datagen import SplitMix64, gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
-from trajsimp.fitting import K_CAP_LIMIT, FitConfig
+from trajsimp.fitting import FitConfig
 from trajsimp.geometry import TWO_PI, Point
 from trajsimp.metrics import _segment_distances, verify_error_bound
 from trajsimp.onepass import (
@@ -28,7 +28,7 @@ from trajsimp.onepass import (
 P = Point
 
 # sha256 of the text hashed by test_encoder_output_and_fit_match_the_pinned_digest.
-ENCODER_SHA256 = "518b48d44366bdb9dea2fa0ceb95a59b2a3df5c701ee12a6d0cf8b5e971073cb"
+ENCODER_SHA256 = "187570617ee8e9b7248b7d0d4838e63cc4e64c0e0f5f6251b8b22853c522508f"
 
 RIGHT_ANGLE = [P(0, 0, 0), P(1, 0, 1), P(2, 0, 2), P(2, 1, 3), P(2, 2, 4)]
 CORNER_CUT = [P(0, 0, 0), P(1, 0, 1), P(2, 0, 2), P(3, 1, 3), P(3, 2, 4), P(3, 3, 5)]
@@ -116,37 +116,31 @@ class TestWorkedExamples:
         ]
 
 
-class TestKCapAndAbsorption:
-    def test_k_cap_splits_a_collinear_run(self):
-        cfg = FitConfig(zeta=1.0, k_cap=10, opt5=False)
-        traj = [P(float(i), 0.0, float(i)) for i in range(31)]
-        rep = simplify(traj, cfg)
-        assert [(s.start.x, s.end.x, s.covered) for s in rep.segments] == [
-            (0.0, 10.0, 11),
-            (10.0, 20.0, 11),
-            (20.0, 30.0, 11),
-        ]
-
-    def test_k_cap_with_no_active_point_emits_a_stub(self):
-        # nothing ever leaves the first-active radius, so the closed piece
-        # ends at its own anchor and the remainder drains into one segment
-        cfg = FitConfig(zeta=1e9, k_cap=100, opt5=False)
-        traj = [P(float(i), 0.0, float(i)) for i in range(150)]
-        rep = simplify(traj, cfg)
-        assert [(s.start.x, s.end.x, s.covered) for s in rep.segments] == [
-            (0.0, 0.0, 101),
-            (0.0, 149.0, 50),
-        ]
-
+class TestAbsorption:
     def test_stream_ending_mid_absorption_decredits_and_bridges(self):
-        cfg = FitConfig(zeta=1e9, k_cap=2)
-        traj = [P(float(i), 0.0, float(i)) for i in range(5)]
-        rep = simplify(traj, cfg)
-        assert [(s.start.x, s.end.x, s.covered) for s in rep.segments] == [
-            (0.0, 0.0, 4),
-            (0.0, 4.0, 2),
+        # (-3, 1) breaks the fit on (0, 0)->(-4, 3) and (-1, 1) follows it;
+        # opt5 absorbs both into the closed segment, then the stream ends
+        traj = [P(0, 0, 0), P(-4, 3, 1), P(-3, 1, 2), P(-1, 1, 3)]
+        rep = simplify(traj, FitConfig(zeta=1.0))
+        assert [(s.start, s.end, s.covered) for s in rep.segments] == [
+            (P(0, 0, 0), P(-4, 3, 1), 3),
+            (P(-4, 3, 1), P(-1, 1, 3), 2),
         ]
-        assert len(_segment_distances(rep, traj)) == 5
+        assert len(_segment_distances(rep, traj)) == 4
+        assert verify_error_bound(rep, traj, 1.0) == (True, [])
+        rep = simplify(traj, FitConfig(zeta=1.0, opt5=False))
+        assert [(s.start, s.end, s.covered) for s in rep.segments] == [
+            (a, b, 2) for a, b in zip(traj, traj[1:])
+        ]
+
+    @pytest.mark.parametrize("mode", [Mode.OPERB, Mode.OPERB_A])
+    def test_long_parked_run_is_one_segment(self, mode):
+        # no point ever leaves the first-active radius, and no point count
+        # closes a segment
+        traj = [P((i % 7) * 1e-3, 0.0, float(i)) for i in range(400_002)]
+        rep = simplify(traj, FitConfig(zeta=1.0), mode)
+        assert rep.segments == [Segment(traj[0], traj[-1], 400_002)]
+        assert verify_error_bound(rep, traj, 1.0) == (True, [])
 
 
 class TestTryPatch:
@@ -328,6 +322,22 @@ class TestEncoderContract:
     def test_rejects_non_finite_first_point(self):
         with pytest.raises(DataError, match="point 0"):
             OperbEncoder(FitConfig(zeta=1.0), first=P(math.nan, 0, 0))
+
+    def test_first_point_is_refused_like_any_later_point(self):
+        class Boom:
+            def __iter__(self):
+                raise KeyError("boom")
+
+        cfg = FitConfig(zeta=1.0)
+        with pytest.raises(DataError, match="^point 0: 'boom'$") as first:
+            OperbEncoder(cfg, first=Boom())
+        with pytest.raises(DataError, match="^point 0: 'boom'$"):
+            simplify([Boom()], cfg)
+        enc = OperbEncoder(cfg, first=P(0, 0, 0))
+        with pytest.raises(DataError, match="^point 1: 'boom'$") as later:
+            enc.push(Boom())
+        assert type(first.value.__cause__) is KeyError
+        assert type(later.value.__cause__) is KeyError
 
     def test_mode_accepts_plain_strings(self):
         enc = OperbEncoder(FitConfig(zeta=1.0), "operb-a", P(0, 0, 0))
@@ -544,17 +554,17 @@ def test_generator_input_streams_through_push():
 @given(
     traj_strategy(),
     opt_combos(),
-    st.sampled_from((2.0, 8.0, 25.0)),
+    st.sampled_from((0.5, 2.0, 8.0, 25.0)),
     st.sampled_from((Mode.OPERB, Mode.OPERB_A)),
-    st.sampled_from((1, 2, 3, K_CAP_LIMIT)),
     st.sampled_from((0.0, math.pi / 3, math.pi)),
 )
-def test_push_loop_equals_batch_loop(traj, opts, zeta, mode, k_cap, gamma_m):
+def test_push_loop_equals_batch_loop(traj, opts, zeta, mode, gamma_m):
     """The fused batch loop must be indistinguishable from push(), down to
-    the smallest k_cap and at both ends of the gamma_m range."""
+    a zeta that closes a segment every two points or so, and at both ends
+    of the gamma_m range."""
     o1, o2, o3, o4, o5 = opts
     cfg = FitConfig(
-        zeta=zeta, k_cap=k_cap, gamma_m=gamma_m,
+        zeta=zeta, gamma_m=gamma_m,
         opt1=o1, opt2=o2, opt3=o3, opt4=o4, opt5=o5,
     )
     batch = simplify(traj, cfg, mode)
@@ -701,7 +711,7 @@ def test_encoder_output_and_fit_match_the_pinned_digest():
         for o1 in (False, True) for o2 in (False, True) for o3 in (False, True)
         for o4 in (False, True) for o5 in (False, True)
     ]
-    configs += [dict(k_cap=3, gamma_m=0.0), dict(gamma_m=math.pi)]
+    configs += [dict(gamma_m=0.0), dict(gamma_m=math.pi)]
     digest = hashlib.sha256()
     for i, opts in enumerate(configs):
         for zeta in (2.0, 40.0):
