@@ -4,8 +4,9 @@ Verbs: gen (synthetic corpora), compress (one algorithm to a segments
 CSV), compare (stats table / JSON report across algorithms), verify
 (recheck the error bound on the output mapping).
 
-Exit codes: 0 success, 1 usage error, 2 bad input data, 3 violated
-guarantee (including a failed verify).
+Exit codes: 0 success, 1 usage error (an --output that cannot be written
+included), 2 bad input data, 3 violated guarantee (including a failed
+verify).
 """
 
 import argparse
@@ -195,6 +196,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # --output; ingest reports its own as DataError
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -46,7 +46,7 @@ def coord_limit(zeta: float) -> float:
     1e100 keeps every product of two offsets finite, also those with a
     patch point, which may lie about 1e9 times farther out than its
     neighbours (``try_patch`` takes lines down to |sin| = 1e-9); 1e300 *
-    zeta keeps radius / zeta finite in ``zone_index``.
+    zeta keeps radius / zeta, the kernel's zone, finite.
     """
     return min(1e100, 1e300 * zeta)
 
@@ -84,21 +84,6 @@ class FitConfig:
         check_zeta(self.zeta)
         if not (0.0 <= self.gamma_m <= math.pi):
             raise ValueError(f"gamma_m must be in [0, pi], got {self.gamma_m}")
-
-
-def zone_index(r_len: float, zeta: float) -> int:
-    """Index j of the radial zone ((j - 1/2)*zeta/2, (j + 1/2)*zeta/2].
-
-    Values within 1e-12 of an integer are snapped before the ceiling so a
-    radius computed as 1.0000000000000002 zones does not jump a zone.
-    """
-    x = 2.0 * r_len / zeta - 0.5
-    n = math.floor(x + 0.5)
-    if abs(x - n) < 1e-12:
-        j = n
-    else:
-        j = math.ceil(x)
-    return j if j > 0 else 0
 
 
 class FitState(NamedTuple):

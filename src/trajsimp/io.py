@@ -19,9 +19,10 @@ across runs and platforms.
 """
 
 import csv
+import io
 import math
 from array import array
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .errors import DataError
 from .geometry import Point, columns, project_equirectangular, rows_view
@@ -40,6 +41,9 @@ OUTPUT_COLUMNS = (
     "covered",
     "patched_start",
 )
+# Everything after traj_id in a row of each schema.
+_SEGMENT_LINE = "%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%s\n"
+_CORPUS_LINE = "%.9g,%.9g,%.9g\n"
 
 
 def ingest_csv(path: str, geo: bool = False) -> Dict[str, memoryview]:
@@ -120,48 +124,51 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, memoryview]:
     return corpus
 
 
-def _fmt(v: float) -> str:
-    return "%.9g" % v
-
-
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[tuple]) -> int:
-    """Write header and rows to path as CSV; returns the row count."""
+def _write_csv(path: str, header: Sequence[str], line: str,
+               groups: Iterable[Tuple[str, Iterable[tuple]]]) -> int:
+    """Write header, then one line per row of each (traj_id, rows) group:
+    the id as csv.writer quotes it, a comma, and ``line % row``; returns
+    the row count."""
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for count, row in enumerate(rows, 1):
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        write = fh.write
+        for tid, rows in groups:
+            # A second, empty field keeps an empty id unquoted, as in a row.
+            ids = io.StringIO()
+            csv.writer(ids, lineterminator="\n").writerow((tid, ""))
+            fmt = ids.getvalue()[:-1].replace("%", "%%") + line
+            for count, text in enumerate(map(fmt.__mod__, rows), count + 1):
+                write(text)
     return count
 
 
 def emit_segments(reps: Iterable[PiecewiseRepresentation], path: str) -> int:
     """Write one row per output segment; returns the row count."""
-    rows = (
+    groups = (
         (
             rep.traj_id,
-            idx,
-            _fmt(seg.start.x),
-            _fmt(seg.start.y),
-            _fmt(seg.start.t),
-            _fmt(seg.end.x),
-            _fmt(seg.end.y),
-            _fmt(seg.end.t),
-            seg.covered,
-            "true" if seg.patched_start else "false",
+            (
+                (idx, *seg.start, *seg.end, seg.covered,
+                 "true" if seg.patched_start else "false")
+                for idx, seg in enumerate(rep.segments)
+            ),
         )
         for rep in reps
-        for idx, seg in enumerate(rep.segments)
     )
-    return _write_csv(path, OUTPUT_COLUMNS, rows)
+    return _write_csv(path, OUTPUT_COLUMNS, _SEGMENT_LINE, groups)
 
 
 def write_corpus(corpus: Dict[str, Sequence[Point]], path: str) -> int:
     """Inverse of ingest_csv, for its views or for lists of points;
-    returns the row count."""
-    rows = (
-        (tid, _fmt(t), _fmt(x), _fmt(y))
-        for tid, traj in corpus.items()
-        for x, y, t in zip(*columns(traj))
-    )
-    return _write_csv(path, INPUT_COLUMNS, rows)
+    returns the row count. An empty traj_id, which ingest_csv refuses, is
+    refused here before the file is opened."""
+    if "" in corpus:
+        raise ValueError("empty traj_id")
+
+    def groups():
+        for tid, traj in corpus.items():
+            x, y, t = columns(traj)
+            yield tid, zip(t, x, y)
+
+    return _write_csv(path, INPUT_COLUMNS, _CORPUS_LINE, groups())

@@ -23,8 +23,8 @@ from typing import Iterable, List, Optional, Tuple
 
 from .errors import DataError
 from .fitting import (PATCH_REACH, FitConfig, FitState, coord_error,
-                      coord_limit, zone_index)
-from .geometry import Point, iter_points, norm_angle
+                      coord_limit)
+from .geometry import TWO_PI, Point, iter_points, norm_angle
 
 
 _INF = math.inf
@@ -93,7 +93,10 @@ def _line(a: Point, b: Point) -> Tuple[float, float, float, float]:
     """
     dx = b.x - a.x
     dy = b.y - a.y
-    theta = 0.0 if dx == 0.0 and dy == 0.0 else norm_angle(math.atan2(dy, dx))
+    # atan2(0.0, -0.0) is pi, hence the zero-vector rule.
+    theta = 0.0 if dx == 0.0 and dy == 0.0 else math.atan2(dy, dx)
+    if theta < 0.0:
+        theta = norm_angle(theta)
     return math.hypot(dx, dy), theta, math.cos(theta), math.sin(theta)
 
 
@@ -215,8 +218,10 @@ class OperbEncoder:
         # Coordinates past lim would overflow the fit's arithmetic.
         lim = coord_limit(zeta)
         nlim = -lim
-        zone = zone_index
+        floor = math.floor
+        ceil = math.ceil
         norm = norm_angle
+        two_pi = TWO_PI
         line = _line
         point = Point
 
@@ -317,43 +322,30 @@ class OperbEncoder:
                         # No fitted line yet: a point inside the
                         # first-active radius is within zeta of any line
                         # through the anchor, so no distance test.
-                        if r_len > thr0:
-                            # First active point: L snaps to the radial
-                            # bearing.
-                            j = zone(r_len, zeta)
-                            inv = 1.0 / r_len
-                            flen = j * half
-                            fth = norm(atan2(dy, dx))
-                            fcos = dx * inv
-                            fsin = dy * inv
-                            racos = fcos
-                            rasin = fsin
-                            if type(p) is not point:
-                                # Another (x, y, t) triple: la is read
-                                # by .x/.y and may become an endpoint.
-                                p = point(px, py, pt)
-                            la = p
-                            lz = j
-                        cnt += 1
-                        break
-                    d_signed = dx * fsin - dy * fcos
-                    d = -d_signed if d_signed < 0.0 else d_signed
-                    # Rotation sense toward p: d_signed*dot has the sign
-                    # of -sin(2*(theta_R - theta_L))/2, which is negative
-                    # exactly where the sense is +1. It is zero when p
-                    # lies on L's line, where the sense changes nothing
-                    # (d = 0, so the step is 0), or square to L, where
-                    # p lies counter-clockwise of L if d_signed < 0.
-                    prod = d_signed * (dx * fcos + dy * fsin)
-                    fpos = prod < 0.0 or (prod == 0.0 and d_signed <= 0.0)
-                    if fpos:
-                        plus = dplus if dplus > d else d
-                        minus = dminus
+                        if r_len <= thr0:
+                            cnt += 1
+                            break
                     else:
-                        plus = dplus
-                        minus = dminus if dminus > d else d
-                    if (plus + minus <= zeta) if opt2 else (d <= half):
-                        if r_len - flen <= quarter:
+                        d_signed = dx * fsin - dy * fcos
+                        d = -d_signed if d_signed < 0.0 else d_signed
+                        # Rotation sense toward p: d_signed*dot has the sign
+                        # of -sin(2*(theta_R - theta_L))/2, which is negative
+                        # exactly where the sense is +1. It is zero when p
+                        # lies on L's line, where the sense changes nothing
+                        # (d = 0, so the step is 0), or square to L, where
+                        # p lies counter-clockwise of L if d_signed < 0.
+                        prod = d_signed * (dx * fcos + dy * fsin)
+                        fpos = prod < 0.0 or (prod == 0.0 and d_signed <= 0.0)
+                        if fpos:
+                            plus = dplus if dplus > d else d
+                            minus = dminus
+                        else:
+                            plus = dplus
+                            minus = dminus if dminus > d else d
+                        fits = (plus + minus <= zeta) if opt2 else (d <= half)
+                        if fits and r_len - flen <= quarter:
+                            # Same zone: p is inactive if it also stays
+                            # within zeta of R_a.
                             d_ra = dx * rasin - dy * racos
                             if d_ra < 0.0:
                                 d_ra = -d_ra
@@ -362,11 +354,30 @@ class OperbEncoder:
                                 dplus = plus
                                 dminus = minus
                                 break
+                            fits = False
+                    if flen == 0.0 or fits:
+                        # p is active. Its zone j: radius in
+                        # ((j - 1/2)*zeta/2, (j + 1/2)*zeta/2], values within
+                        # 1e-12 of an integer snapped before the ceiling so
+                        # 1.0000000000000002 zones does not jump a zone.
+                        # r_len > thr0 >= zeta/4 keeps j >= 0.
+                        zx = 2.0 * r_len / zeta - 0.5
+                        j = floor(zx + 0.5)
+                        if not -1e-12 < zx - j < 1e-12:
+                            j = ceil(zx)
+                        jl = j * half
+                        inv = 1.0 / r_len
+                        if flen == 0.0:
+                            # First active point: L snaps to the radial
+                            # bearing.
+                            fth = atan2(dy, dx)
+                            if fth < 0.0:
+                                fth = norm(fth)
+                            fcos = dx * inv
+                            fsin = dy * inv
                         else:
-                            # Case (3): stretch to the new zone and
-                            # rotate toward p.
-                            j = zone(r_len, zeta)
-                            jl = j * half
+                            # Case (3): stretch to the new zone and rotate
+                            # toward p.
                             dplus = plus
                             dminus = minus
                             d_x = d
@@ -383,19 +394,22 @@ class OperbEncoder:
                             if arg > 1.0:
                                 arg = 1.0
                             step = asin(arg) * (dj / j)
-                            fth = norm(fth + step if fpos else fth - step)
+                            fth = fth + step if fpos else fth - step
+                            if not 0.0 <= fth < two_pi:
+                                fth = norm(fth)
                             fcos = cos(fth)
                             fsin = sin(fth)
-                            inv = 1.0 / r_len
-                            flen = jl
-                            racos = dx * inv
-                            rasin = dy * inv
-                            if type(p) is not point:
-                                p = point(px, py, pt)
-                            la = p
-                            lz = j
-                            cnt += 1
-                            break
+                        flen = jl
+                        racos = dx * inv
+                        rasin = dy * inv
+                        if type(p) is not point:
+                            # Another (x, y, t) triple: la is read by .x/.y
+                            # and may become an endpoint.
+                            p = point(px, py, pt)
+                        la = p
+                        lz = j
+                        cnt += 1
+                        break
                     # p breaks the segment, which only a fitted line can do:
                     # close it at the last active point, more than thr0 from
                     # the anchor, and start a fresh fit there.

@@ -318,6 +318,37 @@ class TestGeo:
         assert "ok: all 3 points" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verb", ["gen", "compress", "compare"])
+def test_unwritable_output_exits_1_naming_the_path(verb, corpus_csv, tmp_path, capsys):
+    out = tmp_path / "missing" / "o.csv"
+    if verb == "gen":
+        argv = ["gen", "--kind", "random-walk", "--n", "20"]
+    elif verb == "compress":
+        argv = ["compress", "--input", corpus_csv, "--epsilon", "20"]
+    else:
+        argv = ["compare", "--input", corpus_csv, "--epsilon-list", "20"]
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
+def test_output_that_is_a_directory_exits_1(corpus_csv, tmp_path, capsys):
+    rc = main(["compress", "--input", corpus_csv, "--epsilon", "20",
+               "--output", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
+def test_gen_refuses_an_empty_traj_id_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "walk.csv"
+    rc = main(["gen", "--kind", "random-walk", "--n", "5", "--traj-id", "",
+               "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: empty traj_id\n"
+    assert not out.exists()
+
+
 def test_no_verb_exits_1(capsys):
     assert main([]) == 1
     assert "error" in capsys.readouterr().err

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trajsimp.datagen import gen_stepwise_adversarial
-from trajsimp.fitting import FitConfig, zone_index
+from trajsimp.fitting import FitConfig
 from trajsimp.geometry import Point
 from trajsimp.onepass import OperbEncoder, Segment
 
@@ -49,33 +49,49 @@ class TestFitConfig:
             FitConfig(zeta=1.0, gamma_m=gm)
 
 
-class TestZoneIndex:
+def first_fit(r, zeta=1.0):
+    """The fit after one push at radius r from the origin, opt1 off."""
+    enc = OperbEncoder(cfg_with(zeta=zeta), first=Point(0.0, 0.0, 0.0))
+    enc.push(Point(r, 0.0, 1.0))
+    return enc.fit
+
+
+class TestZones:
+    """The zone of the first active point, read from last_zone."""
+
     def test_known_value(self):
-        assert zone_index(math.sqrt(17.0), 4.0) == 2
+        enc = OperbEncoder(cfg_with(), first=Point(0.0, 0.0, 0.0))
+        enc.push(Point(4.0, 1.0, 1.0))  # radius sqrt(17)
+        assert enc.fit.last_zone == 2
 
     def test_zone_boundaries_are_half_open_above(self):
         # zone j ends at (j + 1/2) * zeta / 2, inclusive
-        assert zone_index(0.75, 1.0) == 1
-        assert zone_index(0.75 + 1e-6, 1.0) == 2
-        assert zone_index(0.25, 1.0) == 0
-        assert zone_index(0.25 + 1e-6, 1.0) == 1
+        assert first_fit(0.75).last_zone == 1
+        assert first_fit(0.75 + 1e-6).last_zone == 2
+        assert first_fit(0.25 + 1e-6).last_zone == 1
 
     def test_snap_absorbs_float_noise(self):
         # a radius lying one ulp above a boundary must not jump a zone
-        assert zone_index(0.75 * (1.0 + 1e-15), 1.0) == 1
+        assert first_fit(0.75 * (1.0 + 1e-15)).last_zone == 1
 
-    def test_never_negative(self):
-        assert zone_index(0.0, 1.0) == 0
+    @given(st.floats(min_value=0.0, max_value=0.25), st.floats(min_value=1e-3, max_value=1e3))
+    def test_inside_a_quarter_zeta_never_goes_active(self, frac, zeta):
+        r = frac * zeta
+        fit = first_fit(r, zeta)
+        assert fit.fit_len == 0.0
+        assert fit.last_zone == 0
 
     @given(
         st.floats(min_value=1e-6, max_value=1e6),
         st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_partition_property(self, r, zeta):
-        j = zone_index(r, zeta)
+        fit = first_fit(r, zeta)
+        j = fit.last_zone
         half = 0.5 * zeta
         slack = 1e-9 * max(r, zeta)
         assert j >= 0
+        assert fit.fit_len == j * half
         assert r > (j - 0.5) * half - slack
         assert r <= (j + 0.5) * half + slack
 
@@ -109,7 +125,7 @@ class TestFitStep:
         state = enc.fit
         r = math.hypot(3.0, 3.0)
         assert state.fit_theta == pytest.approx(math.pi / 4)
-        assert state.last_zone == zone_index(r, 4.0)
+        assert state.last_zone == 2
         assert state.fit_len == state.last_zone * 2.0
         assert state.ra_len == pytest.approx(r)
         assert state.last_active == Point(3.0, 3.0, 1.0)

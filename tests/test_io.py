@@ -2,12 +2,14 @@
 
 import csv
 import hashlib
+import io
 import math
 import tracemalloc
 from array import array
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trajsimp.datagen import gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
@@ -27,7 +29,7 @@ from trajsimp.io import (
     write_corpus,
 )
 from trajsimp.metrics import compute_stats, verify_error_bound
-from trajsimp.onepass import Mode, simplify
+from trajsimp.onepass import Mode, PiecewiseRepresentation, Segment, simplify
 
 # sha256 of the files written by test_emitted_bytes_match_the_pinned_digest.
 GOLDEN_SHA256 = "b48a20fe052c5d43d4cae293c65004afab8a230b264224041860285a1bb5a242"
@@ -390,5 +392,70 @@ class TestEmit:
                 digest.update(out.read_bytes())
         assert digest.hexdigest() == GOLDEN_SHA256
 
+    def test_empty_traj_id_is_refused_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        with pytest.raises(ValueError, match="empty traj_id"):
+            write_corpus({"a": [Point(0.0, 0.0, 0.0)], "": [Point(1.0, 1.0, 0.0)]},
+                         str(path))
+        assert not path.exists()
+
     def test_input_columns_constant(self):
         assert INPUT_COLUMNS == ("traj_id", "t", "x", "y")
+
+
+# Ids with every character csv.writer quotes for, a "%" the row format must
+# not read, and non-ASCII text; numbers with signed zeros, subnormals, the
+# far end of the range and plain integers.
+IDS = st.text(
+    st.sampled_from(',"\r\n %aü日') | st.characters(exclude_categories=("Cs",)),
+    min_size=1, max_size=8,
+)
+NUMS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-10**9, max_value=10**9),
+)
+POINTS = st.builds(Point, NUMS, NUMS, NUMS)
+WRITER_SETTINGS = settings(
+    max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer makes of header and rows, encoded as the files are."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@WRITER_SETTINGS
+@given(st.dictionaries(IDS, st.lists(
+    st.builds(Segment, POINTS, POINTS, st.integers(1, 10**6), st.booleans()),
+    max_size=4,
+), max_size=4))
+def test_emit_segments_writes_what_csv_writer_writes(tmp_path, segs_by_id):
+    reps = [PiecewiseRepresentation(segs, tid) for tid, segs in segs_by_id.items()]
+    rows = [
+        [tid, idx, *("%.9g" % v for v in (*s.start, *s.end)), s.covered,
+         "true" if s.patched_start else "false"]
+        for tid, segs in segs_by_id.items()
+        for idx, s in enumerate(segs)
+    ]
+    out = tmp_path / "segs.csv"
+    assert emit_segments(reps, str(out)) == len(rows)
+    assert out.read_bytes() == csv_writer_bytes(OUTPUT_COLUMNS, rows)
+
+
+@WRITER_SETTINGS
+@given(st.dictionaries(IDS, st.lists(POINTS, min_size=1, max_size=4), max_size=4))
+def test_write_corpus_writes_what_csv_writer_writes(tmp_path, corpus):
+    rows = [
+        [tid, *("%.9g" % v for v in (p.t, p.x, p.y))]
+        for tid, pts in corpus.items()
+        for p in pts
+    ]
+    out = tmp_path / "corpus.csv"
+    assert write_corpus(corpus, str(out)) == len(rows)
+    assert out.read_bytes() == csv_writer_bytes(INPUT_COLUMNS, rows)

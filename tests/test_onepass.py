@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import math
 import pickle
 from collections import Counter
@@ -289,6 +290,8 @@ class TestLine:
     def test_coincident_points_have_bearing_zero(self):
         p = P(2.5, -1.0)
         assert _line(p, p) == (0.0, 0.0, 1.0, 0.0)
+        # atan2(0.0, -0.0) is pi: a signed zero is still a zero vector
+        assert _line(P(0.0, 0.0), P(-0.0, 0.0)) == (0.0, 0.0, 1.0, 0.0)
 
     def test_length_bearing_and_direction(self):
         length, theta, c, s = _line(P(1.0, 1.0), P(4.0, 5.0))
@@ -578,6 +581,36 @@ def test_push_loop_equals_batch_loop(traj, opts, zeta, mode, gamma_m):
     assert batch.patches == enc.n_patched
     ok, violations = verify_error_bound(batch, traj, zeta)
     assert ok, violations
+
+
+def turning_walk():
+    """Walks that turn by up to a half turn at every step, in steps from
+    far inside to far outside one zone, so the fitted bearing crosses 0
+    both ways."""
+    steps = st.tuples(
+        st.floats(min_value=-math.pi, max_value=math.pi),
+        st.floats(min_value=0.01, max_value=6.0),
+    )
+    return st.tuples(st.floats(min_value=0.0, max_value=TWO_PI),
+                     st.lists(steps, min_size=1, max_size=60))
+
+
+@pytest.mark.parametrize("opts", list(itertools.product((False, True), repeat=5)))
+@settings(max_examples=25)
+@given(turning_walk(), st.sampled_from((Mode.OPERB, Mode.OPERB_A)))
+def test_fitted_bearing_stays_folded(opts, walk, mode):
+    """fit_theta lies in [0, 2*pi) after every push, for every opt set."""
+    heading, steps = walk
+    o1, o2, o3, o4, o5 = opts
+    cfg = FitConfig(zeta=1.0, opt1=o1, opt2=o2, opt3=o3, opt4=o4, opt5=o5)
+    x = y = 0.0
+    enc = OperbEncoder(cfg, mode, P(x, y, 0.0))
+    for t, (turn, length) in enumerate(steps, 1):
+        heading += turn
+        x += length * math.cos(heading)
+        y += length * math.sin(heading)
+        enc.push(P(x, y, float(t)))
+        assert 0.0 <= enc.fit.fit_theta < TWO_PI
 
 
 @settings(max_examples=100)
