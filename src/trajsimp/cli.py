@@ -10,6 +10,8 @@ verify).
 """
 
 import argparse
+import errno
+import os
 import sys
 from math import pi
 
@@ -129,6 +131,19 @@ def _run_config(args, zetas, output=None) -> RunConfig:
     )
 
 
+def _check_output(path: str) -> None:
+    """Refuse an --output that open() would refuse, before any work: one
+    in a missing directory or one that is a directory. Nothing is created,
+    so a run that then fails on its input leaves no file behind."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _ingest_and_compress(args):
     cfg = _run_config(args, [args.epsilon])
     corpus = ingest_csv(cfg.input, geo=cfg.geo)
@@ -136,6 +151,7 @@ def _ingest_and_compress(args):
 
 
 def _cmd_compress(args) -> int:
+    _check_output(args.output)
     corpus, reps = _ingest_and_compress(args)
     rows = emit_segments(reps.values(), args.output)
     stats = compute_stats(list(reps.values()), list(corpus.values()))
@@ -152,6 +168,8 @@ def _cmd_compare(args) -> int:
     zetas = [float(s) for s in args.epsilon_list.split(",") if s.strip()]
     if not zetas:
         raise ValueError("--epsilon-list is empty")
+    if args.output:
+        _check_output(args.output)
     report = run_compare(_run_config(args, zetas, output=args.output))
     print(format_report(report))
     if args.output:

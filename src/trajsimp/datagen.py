@@ -11,7 +11,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .fitting import check_zeta
-from .geometry import Point, columns, iter_points
+from .geometry import Point, columns
 from .io import ingest_csv
 
 _MASK64 = (1 << 64) - 1
@@ -144,7 +144,7 @@ def figure_fixture(name: str) -> List[Point]:
     if name not in ("route", "corner"):
         raise ValueError("name must be 'route' or 'corner'")
     path = resources.files("trajsimp").joinpath(f"data/figure_{name}.csv")
-    return list(iter_points(ingest_csv(str(path))[name]))
+    return [Point(*row) for row in ingest_csv(str(path))[name].tolist()]
 
 
 def optimal_segments(traj: Sequence[Point], zeta: float) -> int:

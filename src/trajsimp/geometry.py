@@ -8,12 +8,14 @@ or lists) or, as ``ingest_csv`` returns it, a *trajectory view*: an
 with ``len(view) == n``.  A view holds 24 bytes per row and no object per
 row; read it with ``view.tolist()``, ``np.asarray(view)`` (no copy) or
 ``view[i, 0]``.  The readers below take either form, so each layer reads a
-trajectory in the form it needs.
+trajectory in the form it needs: ``iter_points`` hands the encoder a view's
+rows as plain ``(x, y, t)`` tuples, and the encoder builds a ``Point`` only
+for a row that becomes a segment endpoint.
 """
 
 import math
 from array import array
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 TWO_PI = 2.0 * math.pi
@@ -40,16 +42,15 @@ def _flat(view: memoryview) -> memoryview:
     return view.cast("B").cast("d")
 
 
-def iter_points(traj: Sequence[Point]) -> Iterator[Point]:
+def iter_points(traj: Sequence[Point]) -> Iterator[Tuple[float, float, float]]:
     """traj's points in order, each read once.
 
     A list or tuple is read by index and any other iterable as it streams;
-    a view's rows become Points built in C as they are read.
+    a view's rows come out as plain (x, y, t) tuples, not Points.
     """
     if isinstance(traj, memoryview):
         it = iter(_flat(traj))
-        # tuple.__new__ gives equal Points without NamedTuple's Python __new__.
-        return map(tuple.__new__, repeat(Point), zip(it, it, it))
+        return zip(it, it, it)
     if isinstance(traj, (list, tuple)):
         return map(traj.__getitem__, range(len(traj)))
     return iter(traj)

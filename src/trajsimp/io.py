@@ -22,11 +22,11 @@ import csv
 import io
 import math
 from array import array
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .errors import DataError
 from .geometry import Point, columns, project_equirectangular, rows_view
-from .onepass import PiecewiseRepresentation
+from .onepass import PiecewiseRepresentation, Segment
 
 INPUT_COLUMNS = ("traj_id", "t", "x", "y")
 OUTPUT_COLUMNS = (
@@ -42,7 +42,8 @@ OUTPUT_COLUMNS = (
     "patched_start",
 )
 # Everything after traj_id in a row of each schema.
-_SEGMENT_LINE = "%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%s\n"
+_SEGMENT_LINE = "%d,%s,%s,%d,%s\n"
+_VERTEX = "%.9g,%.9g,%.9g"  # sx,sy,st or ex,ey,et
 _CORPUS_LINE = "%.9g,%.9g,%.9g\n"
 
 
@@ -143,28 +144,37 @@ def _write_csv(path: str, header: Sequence[str], line: str,
     return count
 
 
+def _segment_rows(segments: Iterable[Segment]) -> Iterator[tuple]:
+    """The fields of each segment's row, each vertex formatted once: a
+    start that is the previous row's end object reuses that row's text."""
+    vertex = _VERTEX.__mod__
+    end = end_text = None
+    for idx, seg in enumerate(segments):
+        # Identity, not equality, so -0.0 after 0.0 prints as itself.
+        start_text = end_text if seg.start is end else vertex(seg.start)
+        end = seg.end
+        end_text = vertex(end)
+        yield (idx, start_text, end_text, seg.covered,
+               "true" if seg.patched_start else "false")
+
+
 def emit_segments(reps: Iterable[PiecewiseRepresentation], path: str) -> int:
     """Write one row per output segment; returns the row count."""
-    groups = (
-        (
-            rep.traj_id,
-            (
-                (idx, *seg.start, *seg.end, seg.covered,
-                 "true" if seg.patched_start else "false")
-                for idx, seg in enumerate(rep.segments)
-            ),
-        )
-        for rep in reps
-    )
+    groups = ((rep.traj_id, _segment_rows(rep.segments)) for rep in reps)
     return _write_csv(path, OUTPUT_COLUMNS, _SEGMENT_LINE, groups)
 
 
 def write_corpus(corpus: Dict[str, Sequence[Point]], path: str) -> int:
     """Inverse of ingest_csv, for its views or for lists of points;
-    returns the row count. An empty traj_id, which ingest_csv refuses, is
-    refused here before the file is opened."""
-    if "" in corpus:
-        raise ValueError("empty traj_id")
+    returns the row count. A traj_id that is empty or not UTF-8, which
+    ingest_csv refuses, is refused here before the file is opened."""
+    for tid in corpus:
+        if not tid:
+            raise ValueError("empty traj_id")
+        try:
+            tid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"traj_id {tid!r} is not UTF-8") from None
 
     def groups():
         for tid, traj in corpus.items():

@@ -224,19 +224,24 @@ class OperbEncoder:
         two_pi = TWO_PI
         line = _line
         point = Point
+        make = tuple.__new__  # make(point, xyt) builds a Point in C
 
         # The segment under construction: anchor, last active point, count
         # of points after the anchor, deviation extremes, the fitted line L
-        # and the radial segment R_a to the last active point.
+        # and the radial segment R_a to the last active point, kept as the
+        # tuple it came in as until it ends a segment or leaves the kernel,
+        # and its input index.
         anchor = la = first
+        lak = 0
         ax = first.x
         ay = first.y
         cnt = lz = 0
         dplus = dminus = flen = fth = 0.0
         fcos = racos = 1.0
         fsin = rasin = 0.0
-        # The newest consumed point, its timestamp, and the next input index.
-        lastp = first
+        # The newest consumed point's coordinates, and the next input index.
+        lx = first.x
+        ly = first.y
         last_t = first.t
         k = 1
         # opt5: the just-closed segment still absorbing points, and its line.
@@ -279,6 +284,8 @@ class OperbEncoder:
             if pts is None:
                 break
             if pts is _SNAPSHOT:
+                if type(la) is not point:
+                    la = make(point, la)
                 dx = la.x - ax
                 dy = la.y - ay
                 out = FitState(anchor, la, cnt, dplus, dminus, lz, flen, fth,
@@ -402,17 +409,20 @@ class OperbEncoder:
                         flen = jl
                         racos = dx * inv
                         rasin = dy * inv
-                        if type(p) is not point:
-                            # Another (x, y, t) triple: la is read by .x/.y
-                            # and may become an endpoint.
+                        if type(p) is not point and type(p) is not tuple:
+                            # A list or another triple the caller may
+                            # change later: keep a copy.
                             p = point(px, py, pt)
                         la = p
+                        lak = k
                         lz = j
                         cnt += 1
                         break
                     # p breaks the segment, which only a fitted line can do:
                     # close it at the last active point, more than thr0 from
                     # the anchor, and start a fresh fit there.
+                    if type(la) is not point:
+                        la = make(point, la)
                     seg = Segment(anchor, la, 1 + cnt)
                     if opt5:
                         ab = seg
@@ -428,13 +438,15 @@ class OperbEncoder:
                     dplus = dminus = flen = fth = 0.0
                     fcos = racos = 1.0
                     fsin = rasin = 0.0
+                lx = px
+                ly = py
                 last_t = pt
-                lastp = p
                 k += 1
 
         out = []
-        if type(lastp) is not point:
-            lastp = point(*lastp)
+        if type(la) is not point:
+            la = make(point, la)
+        lastp = la if lak == k - 1 else point(lx, ly, last_t)
         if ab is not None:
             # The stream ended mid-absorption: the last absorbed point
             # becomes the end of a two-point connector so the

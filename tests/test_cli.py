@@ -116,10 +116,12 @@ class TestCompress:
     def test_corrupt_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("traj_id,t,x,y\na,5,0,0\na,4,1,1\n")
+        out = tmp_path / "o.csv"
         rc = main(["compress", "--input", str(bad), "--epsilon", "5",
-                   "--output", str(tmp_path / "o.csv")])
+                   "--output", str(out)])
         assert rc == 2
         assert "goes backwards" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_opts_exit_1(self, corpus_csv, tmp_path, capsys):
         rc = main(["compress", "--input", corpus_csv, "--epsilon", "5",
@@ -318,35 +320,55 @@ class TestGeo:
         assert "ok: all 3 points" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("verb", ["gen", "compress", "compare"])
-def test_unwritable_output_exits_1_naming_the_path(verb, corpus_csv, tmp_path, capsys):
-    out = tmp_path / "missing" / "o.csv"
+def _refuse_ingest(monkeypatch):
+    """Make every CLI route to ingest_csv fail the test if taken."""
+    def ingest(*args, **kwargs):
+        raise AssertionError("ingest_csv called")
+
+    monkeypatch.setattr("trajsimp.cli.ingest_csv", ingest)
+    monkeypatch.setattr("trajsimp.harness.ingest_csv", ingest)
+
+
+def _argv(verb, corpus_csv):
     if verb == "gen":
-        argv = ["gen", "--kind", "random-walk", "--n", "20"]
-    elif verb == "compress":
-        argv = ["compress", "--input", corpus_csv, "--epsilon", "20"]
-    else:
-        argv = ["compare", "--input", corpus_csv, "--epsilon-list", "20"]
-    assert main(argv + ["--output", str(out)]) == 1
+        return ["gen", "--kind", "random-walk", "--n", "20"]
+    if verb == "compress":
+        return ["compress", "--input", corpus_csv, "--epsilon", "20"]
+    return ["compare", "--input", corpus_csv, "--epsilon-list", "20"]
+
+
+@pytest.mark.parametrize("verb", ["gen", "compress", "compare"])
+def test_unwritable_output_exits_1_naming_the_path(verb, corpus_csv, tmp_path, capsys,
+                                                   monkeypatch):
+    out = tmp_path / "missing" / "o.csv"
+    _refuse_ingest(monkeypatch)  # compress and compare refuse it up front
+    assert main(_argv(verb, corpus_csv) + ["--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {out}: No such file or directory\n"
     assert not out.parent.exists()
 
 
-def test_output_that_is_a_directory_exits_1(corpus_csv, tmp_path, capsys):
-    rc = main(["compress", "--input", corpus_csv, "--epsilon", "20",
-               "--output", str(tmp_path)])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+def test_output_that_is_a_directory_exits_1(corpus_csv, tmp_path, capsys, monkeypatch):
+    before = sorted(tmp_path.iterdir())
+    _refuse_ingest(monkeypatch)
+    for verb in ("compress", "compare"):
+        assert main(_argv(verb, corpus_csv) + ["--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_gen_refuses_an_empty_traj_id_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "walk.csv"
-    rc = main(["gen", "--kind", "random-walk", "--n", "5", "--traj-id", "",
-               "--output", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: empty traj_id\n"
-    assert not out.exists()
+    for tid, msg in (
+        ("", "empty traj_id"),
+        # Bytes in argv that are not UTF-8 arrive as lone surrogates.
+        ("\udcff", "traj_id '\\udcff' is not UTF-8"),
+    ):
+        rc = main(["gen", "--kind", "random-walk", "--n", "5", "--traj-id", tid,
+                   "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {msg}\n"
+        assert not out.exists()
 
 
 def test_no_verb_exits_1(capsys):

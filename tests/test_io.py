@@ -399,6 +399,13 @@ class TestEmit:
                          str(path))
         assert not path.exists()
 
+    def test_id_that_is_not_utf8_is_refused_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        with pytest.raises(ValueError, match=r"traj_id '\\udcff' is not UTF-8"):
+            write_corpus({"a": [Point(0.0, 0.0, 0.0)], "\udcff": [Point(1.0, 1.0, 0.0)]},
+                         str(path))
+        assert not path.exists()
+
     def test_input_columns_constant(self):
         assert INPUT_COLUMNS == ("traj_id", "t", "x", "y")
 
@@ -430,11 +437,26 @@ def csv_writer_bytes(header, rows):
     return buf.getvalue().encode("utf-8")
 
 
+def _chain(linked):
+    """The segments of (segment, link) pairs, each start replaced by the
+    previous segment's end object where link is set, as the encoder
+    shares them."""
+    segs = []
+    for seg, link in linked:
+        if link and segs:
+            seg.start = segs[-1].end
+        segs.append(seg)
+    return segs
+
+
 @WRITER_SETTINGS
 @given(st.dictionaries(IDS, st.lists(
-    st.builds(Segment, POINTS, POINTS, st.integers(1, 10**6), st.booleans()),
+    st.tuples(
+        st.builds(Segment, POINTS, POINTS, st.integers(1, 10**6), st.booleans()),
+        st.booleans(),
+    ),
     max_size=4,
-), max_size=4))
+).map(_chain), max_size=4))
 def test_emit_segments_writes_what_csv_writer_writes(tmp_path, segs_by_id):
     reps = [PiecewiseRepresentation(segs, tid) for tid, segs in segs_by_id.items()]
     rows = [
@@ -446,6 +468,23 @@ def test_emit_segments_writes_what_csv_writer_writes(tmp_path, segs_by_id):
     out = tmp_path / "segs.csv"
     assert emit_segments(reps, str(out)) == len(rows)
     assert out.read_bytes() == csv_writer_bytes(OUTPUT_COLUMNS, rows)
+
+
+def test_emit_formats_an_equal_but_distinct_start_as_itself(tmp_path):
+    # -0.0 == 0.0, so only an identity test tells the shared vertex apart.
+    end = Point(-0.0, 0.0, 1.0)
+    segs = [Segment(Point(2.0, 0.0, 0.0), end, 2),
+            Segment(Point(0.0, 0.0, 1.0), Point(1.0, 0.0, 2.0), 2),
+            Segment(Point(1.0, 0.0, 2.0), end, 3, True)]
+    segs.append(Segment(segs[-1].end, Point(5.0, 5.0, 3.0), 2))
+    out = tmp_path / "segs.csv"
+    assert emit_segments([PiecewiseRepresentation(segs, "a")], str(out)) == 4
+    assert out.read_text().splitlines()[1:] == [
+        "a,0,2,0,0,-0,0,1,2,false",
+        "a,1,0,0,1,1,0,2,2,false",
+        "a,2,1,0,2,-0,0,1,3,true",
+        "a,3,-0,0,1,5,5,3,2,false",
+    ]
 
 
 @WRITER_SETTINGS

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import pickle
+from array import array
 from collections import Counter
 from decimal import Decimal
 
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from trajsimp.datagen import SplitMix64, gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
 from trajsimp.fitting import FitConfig
-from trajsimp.geometry import TWO_PI, Point
+from trajsimp.geometry import TWO_PI, Point, iter_points, rows_view
 from trajsimp.metrics import _segment_distances, verify_error_bound
 from trajsimp.onepass import (
     Mode,
@@ -728,17 +729,22 @@ def _render(v):
     return repr(v)
 
 
-def test_encoder_output_and_fit_match_the_pinned_digest():
-    """Segments, counters and the fit state after every push, for every
-    opt set in both modes at a small and a large zeta, as they were when
-    the digest was pinned. Update the digest only for an intended change
-    of output."""
-    trajs = (
+def _digest_trajectories():
+    return (
         gen_random_walk(200, 3),
         gen_grid_route(200, 3, step=20.0),
         gen_grid_route(200, 3, step=1.0),  # exactly collinear inactive points
         _parked_route(200, 3),
     )
+
+
+def _encoder_digest(form):
+    """sha256 of the segments, counters and the fit state after every push,
+    for every opt set in both modes at a small and a large zeta. form(pts)
+    gives the trajectory to simplify and the points to push, in one input
+    form; every output point must be a Point whatever the form, and the
+    pushed points must finish as simplify ends (not hashed)."""
+    trajs = [form(traj) for traj in _digest_trajectories()]
     configs = [
         dict(opt1=o1, opt2=o2, opt3=o3, opt4=o4, opt5=o5)
         for o1 in (False, True) for o2 in (False, True) for o3 in (False, True)
@@ -750,18 +756,60 @@ def test_encoder_output_and_fit_match_the_pinned_digest():
         for zeta in (2.0, 40.0):
             cfg = FitConfig(zeta=zeta, **opts)
             for mode in (Mode.OPERB, Mode.OPERB_A):
-                for traj in trajs:
+                for traj, _ in trajs:
                     rep = simplify(traj, cfg, mode)
                     for s in rep.segments:
+                        assert type(s.start) is Point and type(s.end) is Point
                         digest.update(_render(
                             (s.start, s.end, s.covered, s.patched_start)
                         ).encode())
                     digest.update(_render(
                         (rep.anomalous_candidates, rep.patches)
                     ).encode())
-                traj = trajs[i % len(trajs)]
-                enc = OperbEncoder(cfg, mode, traj[0])
-                for p in traj[1:]:
-                    enc.push(p)
-                    digest.update(_render(tuple(enc.fit)).encode())
-    assert digest.hexdigest() == ENCODER_SHA256
+                traj, pts = trajs[i % len(trajs)]
+                enc = OperbEncoder(cfg, mode, pts[0])
+                pushed = []
+                for p in pts[1:]:
+                    pushed += enc.push(p)
+                    fit = enc.fit
+                    assert type(fit.anchor) is Point and type(fit.last_active) is Point
+                    digest.update(_render(tuple(fit)).encode())
+                pushed += enc.finish()
+                assert all(type(s.start) is Point and type(s.end) is Point
+                           for s in pushed)
+                assert pushed == simplify(traj, cfg, mode).segments
+    return digest.hexdigest()
+
+
+def test_encoder_output_and_fit_match_the_pinned_digest():
+    """As the encoder's output was when the digest was pinned. Update the
+    digest only for an intended change of output."""
+    assert _encoder_digest(lambda pts: (pts, pts)) == ENCODER_SHA256
+
+
+def _as_view(pts):
+    view = rows_view(array("d", [float(v) for p in pts for v in p]))
+    return view, list(iter_points(view))
+
+
+@pytest.mark.parametrize("form", [
+    _as_view,
+    lambda pts: ([tuple(p) for p in pts],) * 2,
+    lambda pts: ([list(p) for p in pts],) * 2,
+], ids=["view", "tuples", "lists"])
+def test_every_input_form_matches_the_pinned_digest(form):
+    assert _encoder_digest(form) == ENCODER_SHA256
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_pushed_list_changed_after_push_leaves_the_output_as_it_was(mode):
+    cfg = FitConfig(zeta=2.0)
+    for traj in _digest_trajectories():
+        enc = OperbEncoder(cfg, mode, list(traj[0]))
+        segs = []
+        for p in traj[1:]:
+            q = list(p)
+            segs += enc.push(q)
+            q[:] = [1e9, -1e9, -1.0]
+        segs += enc.finish()
+        assert segs == simplify(traj, cfg, mode).segments
