@@ -184,18 +184,16 @@ class HullState:
     max vertex distance upper-bounds every buffered point's distance.
 
     Cost model: ``add`` updates one quadrant's box and bearings and clips
-    nothing; when one of them moved, it drops that quadrant's clipped
-    polygon. ``exceeds`` settles most quadrants with a bound of a few
-    multiplications and clips a dropped polygon only when that bound cannot
-    settle the query, at most once per move; ``vertices`` clips every
-    dropped polygon.
+    nothing. ``exceeds`` settles a quadrant with the box bound, the wedge
+    bound or the region's exact extreme, a few dozen multiplications in
+    all, and clips its polygon only when the extreme lies within the
+    rounding band about zeta; ``vertices`` clips every quadrant.
     """
 
     __slots__ = ("quads",)
 
     def __init__(self):
-        # quadrant -> [minx, maxx, miny, maxy, th_low, th_high, polygon]; the
-        # clipped polygon is None until clipped and again once add moves a bound
+        # quadrant -> [minx, maxx, miny, maxy, th_low, th_high]
         self.quads = {}
 
     def add(self, dx: float, dy: float) -> None:
@@ -207,26 +205,20 @@ class HullState:
             q = 3 if th >= -_HALF_PI else 2
         box = self.quads.get(q)
         if box is None:
-            self.quads[q] = [dx, dx, dy, dy, th, th, None]
+            self.quads[q] = [dx, dx, dy, dy, th, th]
             return
         if dx < box[0]:
             box[0] = dx
-            box[6] = None
         elif dx > box[1]:
             box[1] = dx
-            box[6] = None
         if dy < box[2]:
             box[2] = dy
-            box[6] = None
         elif dy > box[3]:
             box[3] = dy
-            box[6] = None
         if th < box[4]:
             box[4] = th
-            box[6] = None
         elif th > box[5]:
             box[5] = th
-            box[6] = None
 
     @staticmethod
     def _clip(poly: List[Tuple[float, float]], cx: float, cy: float, keep_sign: float):
@@ -268,17 +260,14 @@ class HullState:
 
     @classmethod
     def _clipped(cls, box: list) -> List[Tuple[float, float]]:
-        """The box clipped to the bearing wedge, cached until add moves it."""
-        poly = box[6]
-        if poly is None:
-            minx, maxx, miny, maxy, th_l, th_h, _ = box
-            poly = [(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy)]
-            # Bearing wedge about the anchor: angle(v) <= th_h and >= th_l.
-            # cross((cos th, sin th), v) = |v| sin(angle(v) - th).
-            poly = cls._clip(poly, math.cos(th_h), math.sin(th_h), -1.0)
-            if poly:
-                poly = cls._clip(poly, math.cos(th_l), math.sin(th_l), 1.0)
-            box[6] = poly
+        """The box clipped to the bearing wedge."""
+        minx, maxx, miny, maxy, th_l, th_h = box
+        poly = [(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy)]
+        # Bearing wedge about the anchor: angle(v) <= th_h and >= th_l.
+        # cross((cos th, sin th), v) = |v| sin(angle(v) - th).
+        poly = cls._clip(poly, math.cos(th_h), math.sin(th_h), -1.0)
+        if poly:
+            poly = cls._clip(poly, math.cos(th_l), math.sin(th_l), 1.0)
         return poly
 
     def vertices(self) -> List[Tuple[float, float]]:
@@ -291,21 +280,31 @@ class HullState:
         A NaN distance exceeds nothing; a zero direction tests every
         vertex's distance hypot(vx, vy) to the anchor instead.
 
-        A quadrant is settled when either bound below is at most
-        zeta - (5e-12 * R + 1e-300), R the distance of its box corner
-        farthest from the anchor; only otherwise is its polygon clipped
-        (once per move) and every vertex tested, so the answer is that of
-        the exact test.
+        With R the distance of a quadrant's box corner farthest from the
+        anchor and slack = 5e-12 * R + 1e-300, the quadrant is settled
+        False when one of the bounds below is at most zeta - slack, True
+        when the region's extreme exceeds zeta + slack, and only otherwise
+        is its polygon clipped and every vertex tested, so the answer is
+        that of the exact test.
 
         * Box: uy * x - ux * y is linear, so over the box it peaks and
-          bottoms out at the corners picked by the signs of uy and -ux.
+          bottoms out at the corners picked by the signs of uy and -ux
+          (for a zero direction, R bounds every distance).
         * Wedge, whose bearings ``add`` keeps within pi/2: the region lies
           within R of the anchor and between the extreme bearings, so its
           distance is at most R * F, F the largest |sin| between (ux, uy)
-          and a bearing in the wedge: 1 when the wedge holds the line's
-          normal (the bearings' dot products with (ux, uy) differ in sign;
-          a wedge narrower than pi meets at most one normal), else the
-          larger |sin| at the two bearings, |sin| being monotone between.
+          and a bearing in the wedge, scaled by |(ux, uy)|: that length
+          when the wedge holds the line's normal (the bearings' dot
+          products with (ux, uy) differ in sign; a wedge narrower than pi
+          meets at most one normal), else the larger |sin| at the two
+          bearings, |sin| being monotone between.
+        * Extreme: the region, box within the wedge, is convex, so a
+          distance peaks at one of its vertices: a box corner inside the
+          wedge, the anchor (distance 0), or where a bearing ray leaves
+          the box (along a ray the distance grows away from the anchor).
+          The extreme is the largest distance over the corners that pass
+          both of ``_clip``'s keep tests and over each ray's far end,
+          found by intersecting the ray's x and y slabs.
 
         Slack: the bounds hold for the exact region, the test runs on the
         computed vertices. Each vertex is a rounded convex combination of
@@ -317,42 +316,109 @@ class HullState:
         Such a point is within sqrt(2) * tau of the wedge (within tau of a
         bearing's ray when less than a right angle past it, else within
         sqrt(2) * tau of the anchor), which moves its distance by at most
-        2.2e-12 * R. Rounding in ux, uy, the distances, cos, sin and R adds
+        2.2e-12 * R. The other way, every vertex of the exact region has a
+        computed vertex within rounding of it, or a run of them whose hull
+        holds it: the clip keeps everything on the kept side, with its
+        tolerance, and puts each crossing on the bearing line or on the
+        dropped vertex. The corners of the extreme are computed vertices
+        themselves, tested by the same expressions, and a ray whose slabs
+        miss by rounding only grazes a corner the keep tests admit.
+        Rounding in ux, uy, the distances, the slabs, cos, sin and R adds
         about 1e-14 * R; 1e-300 covers subnormal coordinates, whose
-        rounding is absolute. A NaN or infinity fails both bounds.
+        rounding is absolute. A NaN or infinity settles nothing.
         """
         length = math.hypot(dx, dy)
-        if length == 0.0:
-            for vx, vy in self.vertices():
-                if math.hypot(vx, vy) > zeta:
-                    return True
-            return False
-        ux = dx / length
-        uy = dy / length
-        # Box indices of the corners where uy * x - ux * y peaks (hi) and
-        # bottoms out (lo).
-        xh, xl = (1, 0) if uy >= 0.0 else (0, 1)
-        yh, yl = (2, 3) if ux >= 0.0 else (3, 2)
+        radial = length == 0.0
+        if not radial:
+            ux = dx / length
+            uy = dy / length
+            # Box indices of the corners where uy * x - ux * y peaks (hi)
+            # and bottoms out (lo).
+            xh, xl = (1, 0) if uy >= 0.0 else (0, 1)
+            yh, yl = (2, 3) if ux >= 0.0 else (3, 2)
         for box in self.quads.values():
-            minx, maxx, miny, maxy, th_l, th_h, _ = box
+            minx, maxx, miny, maxy, th_l, th_h = box
             r = math.hypot(maxx if maxx > -minx else minx,
                            maxy if maxy > -miny else miny)
-            limit = zeta - (5e-12 * r + 1e-300)
-            if (uy * box[xh] - ux * box[yh] <= limit
+            slack = 5e-12 * r + 1e-300
+            limit = zeta - slack
+            if (r <= limit if radial else
+                    uy * box[xh] - ux * box[yh] <= limit
                     and ux * box[yl] - uy * box[xl] <= limit):
                 continue
             cl = math.cos(th_l)
             sl = math.sin(th_l)
             ch = math.cos(th_h)
             sh = math.sin(th_h)
-            if (cl * ux + sl * uy) * (ch * ux + sh * uy) <= 0.0:
-                f = 1.0
-            else:
-                f = max(abs(cl * uy - sl * ux), abs(ch * uy - sh * ux))
-            if r * f <= limit:
+            if not radial:
+                if (cl * ux + sl * uy) * (ch * ux + sh * uy) <= 0.0:
+                    # |(ux, uy)|: 1 but for a subnormal (dx, dy), whose
+                    # hypot rounds absolutely
+                    f = math.hypot(ux, uy)
+                else:
+                    f = max(abs(cl * uy - sl * ux), abs(ch * uy - sh * ux))
+                if r * f <= limit:
+                    continue
+            # The corners, unrolled (a loop over them costs about a third
+            # more here), each with _clip's tolerance tau.
+            ext = 0.0
+            ax0 = abs(minx)
+            ax1 = abs(maxx)
+            ay0 = abs(miny)
+            ay1 = abs(maxy)
+            tau = 1e-12 * (ax0 + ay0)
+            if ch * miny - sh * minx <= tau and cl * miny - sl * minx >= -tau:
+                d = math.hypot(minx, miny) if radial else abs(minx * uy - miny * ux)
+                if not d <= ext:
+                    ext = d
+            tau = 1e-12 * (ax1 + ay0)
+            if ch * miny - sh * maxx <= tau and cl * miny - sl * maxx >= -tau:
+                d = math.hypot(maxx, miny) if radial else abs(maxx * uy - miny * ux)
+                if not d <= ext:
+                    ext = d
+            tau = 1e-12 * (ax1 + ay1)
+            if ch * maxy - sh * maxx <= tau and cl * maxy - sl * maxx >= -tau:
+                d = math.hypot(maxx, maxy) if radial else abs(maxx * uy - maxy * ux)
+                if not d <= ext:
+                    ext = d
+            tau = 1e-12 * (ax0 + ay1)
+            if ch * maxy - sh * minx <= tau and cl * maxy - sl * minx >= -tau:
+                d = math.hypot(minx, maxy) if radial else abs(minx * uy - maxy * ux)
+                if not d <= ext:
+                    ext = d
+            # A bearing's cosine is never 0; its sine is for bearing 0.
+            for c, s in ((cl, sl), (ch, sh)):
+                if c > 0.0:
+                    t_in = minx / c
+                    t_out = maxx / c
+                else:
+                    t_in = maxx / c
+                    t_out = minx / c
+                if s > 0.0:
+                    t_y = miny / s
+                    if t_y > t_in:
+                        t_in = t_y
+                    t_y = maxy / s
+                    if t_y < t_out:
+                        t_out = t_y
+                elif s < 0.0:
+                    t_y = maxy / s
+                    if t_y > t_in:
+                        t_in = t_y
+                    t_y = miny / s
+                    if t_y < t_out:
+                        t_out = t_y
+                if t_in <= t_out:
+                    d = t_out if radial else t_out * abs(c * uy - s * ux)
+                    if not d <= ext:
+                        ext = d
+            if ext <= limit:
                 continue
+            if ext > zeta + slack:
+                return True
             for vx, vy in self._clipped(box):
-                if abs(vx * uy - vy * ux) > zeta:
+                d = math.hypot(vx, vy) if radial else abs(vx * uy - vy * ux)
+                if d > zeta:
                     return True
         return False
 
@@ -364,10 +430,11 @@ def fbqs_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation
     at P_{k-1}.
 
     Cost model: one ``HullState.add`` and one ``HullState.exceeds`` per
-    point. Most quadrants are settled by the box or wedge bound there, and
-    a quadrant's polygon is clipped only when neither bound settles it, so
-    a window along a straight line, where the box bound fails, clips
-    almost nothing."""
+    point, O(1) each. Most quadrants are settled by the box or wedge bound
+    there and the rest by the region's extreme; a polygon is clipped only
+    when the extreme lies within the rounding band about zeta, as when a
+    grid route puts a point exactly zeta off the line, so walks and grid
+    routes clip next to nothing."""
     cols = _columns(traj, zeta)
     xs, ys, _ = cols
     n = len(xs)

@@ -52,7 +52,9 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, memoryview]:
     trajectory is an (n, 3) float64 view of its x, y, t rows.
 
     With geo=True, x is longitude and y latitude in degrees; each
-    trajectory is projected to metres about its own first point.
+    trajectory is projected to metres about its own first point, and a
+    latitude outside [-90, 90] is refused with a DataError naming the
+    trajectory and its point.
     """
     bufs: Dict[str, array] = {}  # x, y, t of each trajectory's rows
     try:
@@ -121,6 +123,11 @@ def ingest_csv(path: str, geo: bool = False) -> Dict[str, memoryview]:
         raise DataError(f"{path}: no data rows")
     corpus = {tid: rows_view(buf) for tid, buf in bufs.items()}
     if geo:
+        for tid, view in corpus.items():
+            for k, lat in enumerate(columns(view)[1]):
+                if not -90.0 <= lat <= 90.0:
+                    raise DataError(f"{path}: trajectory {tid!r} point {k}: "
+                                    f"latitude {lat!r} is outside [-90, 90]")
         corpus = {tid: project_equirectangular(v) for tid, v in corpus.items()}
     return corpus
 

@@ -1,14 +1,36 @@
 """Shared pytest configuration.
 
 Hypothesis runs derandomized so a red build reproduces identically on any
-machine, and the acceptance tests get a one-line PASS/FAIL roll-up printed
+machine, the ``clip_calls`` fixture counts the polygons ``HullState``
+clips, and the acceptance tests get a one-line PASS/FAIL roll-up printed
 after the terminal summary.
 """
 
+import pytest
 from hypothesis import settings
 
+from trajsimp.baselines import HullState
+
 settings.register_profile("ci", derandomize=True, deadline=None)
+# A longer run of the same derandomized search, for one test at a time:
+# pytest --hypothesis-profile deep tests/test_reference.py::<test>
+settings.register_profile("deep", parent=settings.get_profile("ci"),
+                          max_examples=2000)
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def clip_calls(monkeypatch):
+    """The boxes HullState clips into polygons while the test runs."""
+    calls = []
+    clipped = HullState._clipped
+
+    def counted(box):
+        calls.append(box)
+        return clipped(box)
+
+    monkeypatch.setattr(HullState, "_clipped", staticmethod(counted))
+    return calls
 
 _ACCEPTANCE = {}
 

@@ -1,6 +1,7 @@
 """Batch baselines: recursive split, open window, quadrant-hull window."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,7 +162,7 @@ class TestHullState:
         assert hull.exceeds(0.0, 0.0, 4.999)
         assert not hull.exceeds(0.0, 0.0, 5.001)
 
-    def test_the_cheap_bounds_settle_without_clipping(self):
+    def test_the_cheap_bounds_settle_without_clipping(self, clip_calls):
         # Off a 30-degree line the box's corners lie far from it, so the box
         # bound fails; the bearings' wedge settles every query instead.
         hull = HullState()
@@ -169,15 +170,82 @@ class TestHullState:
         for i in range(1, 50):
             hull.add(7.0 * i * c, 7.0 * i * s)
             assert not hull.exceeds(7.0 * (i + 1) * c, 7.0 * (i + 1) * s, 1.0)
-            assert [box[6] for box in hull.quads.values()] == [None]
+            assert not clip_calls
         # A wedge 45 degrees wide reaches 35 off the x axis at radius 50,
         # but the box is 0.1 high: only the box bound settles this one.
         hull = HullState()
         hull.add(0.1, 0.1)
         hull.add(50.0, 0.0)
         assert not hull.exceeds(1.0, 0.0, 1.0)
-        assert [box[6] for box in hull.quads.values()] == [None]
+        assert not clip_calls
         assert hull.exceeds(1.0, 0.0, 0.05)
+
+    def test_the_region_extreme_settles_what_the_cheap_bounds_cannot(self, clip_calls):
+        # Box [1, 10] x [0, 8], bearings 0 to 45 degrees: the corner (1, 8)
+        # lies outside the wedge, and the 45-degree ray leaves the box at
+        # (8, 8), not at a corner.
+        hull = HullState()
+        for x, y in [(8.0, 8.0), (1.0, 0.0), (10.0, 0.0)]:
+            hull.add(x, y)
+        cases = [
+            # 30 degrees: the box bound sees (1, 8) at 6.43 and the wedge
+            # bound reaches 6.40; the region peaks at the corner (10, 0).
+            (math.radians(30.0), 5.0),
+            # 10 degrees: the region peaks at the ray's exit (8, 8), above
+            # every corner the wedge keeps.
+            (math.radians(10.0), 8.0 * (math.cos(math.radians(10.0))
+                                        - math.sin(math.radians(10.0)))),
+        ]
+        # The zero-length query: the corner (10, 8), off both rays.
+        queries = [((math.cos(phi), math.sin(phi)), d) for phi, d in cases]
+        queries.append(((0.0, 0.0), math.hypot(10.0, 8.0)))
+        for (qx, qy), d in queries:
+            assert not hull.exceeds(qx, qy, d * (1 + 1e-9))
+            assert hull.exceeds(qx, qy, d * (1 - 1e-9))
+        assert not clip_calls
+        # Within the rounding band only the polygon decides.
+        for (qx, qy), d in queries:
+            hull.exceeds(qx, qy, d)
+        assert len(clip_calls) == len(queries)
+
+    def test_a_corner_below_the_low_bearing_is_not_counted(self, clip_calls):
+        # Box [2, 10] x [1, 8], bearings atan(1/2) to 45 degrees: the corner
+        # (10, 1) lies below the low bearing, whose ray leaves the box
+        # through its right side at (10, 5).
+        hull = HullState()
+        for x, y in [(8.0, 8.0), (2.0, 1.0), (10.0, 6.0)]:
+            hull.add(x, y)
+        # 60 degrees: (10, 1) would reach 8.16 and the wedge bound 7.06;
+        # the region peaks at the ray's exit.
+        phi = math.radians(60.0)
+        ux, uy = math.cos(phi), math.sin(phi)
+        d = abs(10.0 * uy - 5.0 * ux)
+        assert not hull.exceeds(ux, uy, d * (1 + 1e-9))
+        assert hull.exceeds(ux, uy, d * (1 - 1e-9))
+        assert not clip_calls
+
+    def test_the_band_is_closed_on_neither_side(self, clip_calls):
+        """The extreme settles when it is at most zeta - slack or more than
+        zeta + slack; on either edge of that band the polygon decides."""
+        hull = HullState()
+        for x, y in [(8.0, 8.0), (1.0, 0.0), (10.0, 0.0)]:
+            hull.add(x, y)
+        # Along (15, 8) / 17 the box bound sees the corner (1, 8) at 6.59
+        # and the wedge bound reaches 6.03; the region peaks at (10, 0).
+        ux, uy = 15.0 / 17.0, 8.0 / 17.0
+        ext = abs(10.0 * uy - 0.0 * ux)
+        slack = 5e-12 * math.hypot(10.0, 8.0) + 1e-300
+        lower = ext - slack  # zeta + slack == ext: not more than it
+        upper = ext + slack  # zeta - slack == ext: settled False
+        assert lower + slack == ext and upper - slack == ext
+        assert not hull.exceeds(15.0, 8.0, upper)
+        assert not clip_calls
+        assert not hull.exceeds(15.0, 8.0, math.nextafter(upper, 0.0))
+        assert len(clip_calls) == 1
+        assert hull.exceeds(15.0, 8.0, lower)
+        assert len(clip_calls) == 2
+        assert hull.exceeds(15.0, 8.0, math.nextafter(lower, 0.0))
+        assert len(clip_calls) == 2
 
     @settings(max_examples=60)
     @given(
@@ -219,6 +287,30 @@ class TestFbqs:
         ok, violations = verify_error_bound(rep, traj, 1.0)
         assert ok, violations
         assert len(rep) == 2
+
+    @pytest.mark.parametrize("zeta", [10.0, 40.0])
+    @pytest.mark.parametrize("kind", ["walk", "grid", "parked"])
+    def test_walks_grids_and_parked_walks_clip_next_to_nothing(self, kind, zeta,
+                                                               clip_calls):
+        """Away from the rounding band the region's extreme settles every
+        quadrant, so no polygon is clipped. Grid routes put points exactly
+        two 20-unit steps off axis-parallel lines, so at zeta 40 a query
+        can land on the bound itself, where only the polygon decides."""
+        n = 0
+        for seed in range(3):
+            if kind == "grid":
+                traj = gen_grid_route(2000, seed, step=20)
+            else:
+                traj = gen_random_walk(2000, seed)
+            if kind == "parked":
+                # every position held for 1 to 8 samples
+                rng = random.Random(seed)
+                traj = [P(p.x, p.y, float(i)) for i, p in enumerate(
+                    p for p in traj for _ in range(rng.randint(1, 8)))]
+            fbqs_simplify(traj, zeta)
+            n += len(traj)
+        ties = n // 1000 if (kind, zeta) == ("grid", 40.0) else 0
+        assert len(clip_calls) <= ties
 
     @settings(max_examples=40)
     @given(trajs(), st.sampled_from((2.0, 10.0, 40.0)))

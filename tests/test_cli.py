@@ -320,6 +320,21 @@ class TestGeo:
         assert "ok: all 3 points" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("verb", ["compress", "compare", "verify"])
+    def test_geo_latitude_past_a_pole_exits_2(self, tmp_path, capsys, verb):
+        path = tmp_path / "geo.csv"
+        path.write_text("traj_id,t,x,y\na,0,0,10\na,1,0.001,1000\n")
+        out = tmp_path / "out"
+        flag = "--epsilon-list" if verb == "compare" else "--epsilon"
+        argv = [verb, "--input", str(path), flag, "5", "--geo"]
+        if verb != "verify":
+            argv += ["--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "trajectory 'a' point 1: latitude 1000.0 is outside [-90, 90]" in err
+        assert not out.exists()
+
+
 def _refuse_ingest(monkeypatch):
     """Make every CLI route to ingest_csv fail the test if taken."""
     def ingest(*args, **kwargs):

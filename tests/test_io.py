@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 import tracemalloc
 from array import array
 from importlib import resources
@@ -153,6 +154,21 @@ class TestIngest:
         assert corpus["a"].tolist()[0] == [0.0, 0.0, 0.0]
         assert corpus["a"][1, 1] == pytest.approx(0.01 * M_PER_DEG_LAT)
         assert corpus["a"][1, 0] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("lat", ["1000", "-90.000001", "90.5"])
+    def test_geo_refuses_a_latitude_past_a_pole(self, tmp_path, lat):
+        # Past a pole cos(lat) folds, scaling or mirroring x without a word.
+        path = write(tmp_path, f"traj_id,t,x,y\nb,0,1,2\na,0,-74,40\na,1,-74,{lat}\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: trajectory 'a' point 1: latitude {float(lat)!r} "
+                "is outside [-90, 90]")):
+            ingest_csv(path, geo=True)
+        assert len(ingest_csv(path)["a"]) == 2  # without --geo y is plain y
+
+    def test_geo_takes_the_poles_and_any_longitude(self, tmp_path):
+        path = write(tmp_path, "traj_id,t,x,y\na,0,500,-90\na,1,-720,90\n")
+        corpus = ingest_csv(path, geo=True)
+        assert corpus["a"][1, 1] == pytest.approx(180.0 * M_PER_DEG_LAT)
 
     def test_geo_corpus_stays_columnar(self, tmp_path):
         """Projecting each trajectory's view gives the numbers, and so the

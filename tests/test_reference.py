@@ -5,7 +5,8 @@ code they replaced.
 ``_segment_distances`` gathers per-segment line parameters in one pass and
 measures every point with whole-array numpy.  ``opw_simplify`` tests a
 block of window ends per numpy pass, and ``HullState`` clips a quadrant's
-polygon only when a cheap bound cannot settle a query.  The references
+polygon only when neither a cheap bound nor the region's extreme can
+settle a query.  The references
 below are the earlier ``DictReader`` ingest, per-segment distance loop
 (with its own walk of the covered counts, sharing no code with the one it
 checks), one-end-per-pass OPW and rebuild-every-query hull, kept here
@@ -511,6 +512,42 @@ def test_hull_matches_the_rebuilding_one(offsets, theta, scale):
             for zeta in boundary_zetas(bound):
                 assert hull.exceeds(qx, qy, zeta) == (bound > zeta)
         assert hull.vertices() == ref.vertices()
+
+
+def test_the_hull_cases_reach_the_polygon(clip_calls):
+    """On the reference bound the region's extreme lies within the rounding
+    band, so the hull cases reach the clipped polygon, for a line and for
+    the zero-length query, and decide as the rebuilding hull does."""
+    cases = [
+        ([(3.0, 4.0)], 0.0, 1.0),
+        ([(10.0, 1.0), (1.0, 10.0)], -math.pi / 4, 1e7),
+        ([(-5.0, 0.0), (0.0, -5.0), (5.0, 5.0), (-5.0, 5.0)], 0.3, 1e-6),
+        ([(-54.0, 96.0), (-1.0, -60.0)], 0.3, 1e-318),
+    ]
+    reached = {"line": 0, "zero-length": 0}
+    for offsets, theta, scale in cases:
+        hull, ref = HullState(), ReferenceHull()
+        queries = {"line": (math.cos(theta), math.sin(theta)),
+                   "zero-length": (0.0, 0.0)}
+        for dx, dy in offsets:
+            hull.add(dx * scale, dy * scale)
+            ref.add(dx * scale, dy * scale)
+            for name, (qx, qy) in queries.items():
+                bound = ref.max_distance_to(qx, qy)
+                before = len(clip_calls)
+                assert not hull.exceeds(qx, qy, bound)
+                reached[name] += len(clip_calls) > before
+    assert reached["line"] > 0 and reached["zero-length"] > 0
+
+
+def test_a_subnormal_direction_is_measured_as_the_reference_measures_it():
+    # hypot(1e-323, -5e-324) rounds to 1e-323, so the direction (1, -0.5)
+    # is not of unit length: its wedge bound is |(1, -0.5)| * R, not R.
+    traj = [Point(0.0, 0.0, 0.0), Point(40.0, 100.0, 1.0),
+            Point(60.0, 100.0, 2.0), Point(1e-323, -5e-324, 3.0)]
+    rep = fbqs_simplify(traj, 120.0)
+    assert rep == reference_fbqs(traj, 120.0)
+    assert len(rep) == 2
 
 
 @pytest.mark.parametrize(
