@@ -184,10 +184,10 @@ class HullState:
     max vertex distance upper-bounds every buffered point's distance.
 
     Cost model: ``add`` updates one quadrant's box and bearings and clips
-    nothing. ``exceeds`` settles a quadrant with the box bound, the wedge
-    bound or the region's exact extreme, a few dozen multiplications in
-    all, and clips its polygon only when the extreme lies within the
-    rounding band about zeta; ``vertices`` clips every quadrant.
+    nothing. ``exceeds`` settles a quadrant with the box bound or the
+    region's exact extreme, a few dozen multiplications in all, and clips
+    its polygon only when the extreme lies within the rounding band about
+    zeta; ``vertices`` clips every quadrant.
     """
 
     __slots__ = ("quads",)
@@ -282,22 +282,14 @@ class HullState:
 
         With R the distance of a quadrant's box corner farthest from the
         anchor and slack = 5e-12 * R + 1e-300, the quadrant is settled
-        False when one of the bounds below is at most zeta - slack, True
-        when the region's extreme exceeds zeta + slack, and only otherwise
-        is its polygon clipped and every vertex tested, so the answer is
-        that of the exact test.
+        False when the box bound or the region's extreme is at most
+        zeta - slack, True when the extreme exceeds zeta + slack, and only
+        otherwise is its polygon clipped and every vertex tested, so the
+        answer is that of the exact test.
 
         * Box: uy * x - ux * y is linear, so over the box it peaks and
           bottoms out at the corners picked by the signs of uy and -ux
           (for a zero direction, R bounds every distance).
-        * Wedge, whose bearings ``add`` keeps within pi/2: the region lies
-          within R of the anchor and between the extreme bearings, so its
-          distance is at most R * F, F the largest |sin| between (ux, uy)
-          and a bearing in the wedge, scaled by |(ux, uy)|: that length
-          when the wedge holds the line's normal (the bearings' dot
-          products with (ux, uy) differ in sign; a wedge narrower than pi
-          meets at most one normal), else the larger |sin| at the two
-          bearings, |sin| being monotone between.
         * Extreme: the region, box within the wedge, is convex, so a
           distance peaks at one of its vertices: a box corner inside the
           wedge, the anchor (distance 0), or where a bearing ray leaves
@@ -350,15 +342,6 @@ class HullState:
             sl = math.sin(th_l)
             ch = math.cos(th_h)
             sh = math.sin(th_h)
-            if not radial:
-                if (cl * ux + sl * uy) * (ch * ux + sh * uy) <= 0.0:
-                    # |(ux, uy)|: 1 but for a subnormal (dx, dy), whose
-                    # hypot rounds absolutely
-                    f = math.hypot(ux, uy)
-                else:
-                    f = max(abs(cl * uy - sl * ux), abs(ch * uy - sh * ux))
-                if r * f <= limit:
-                    continue
             # The corners, unrolled (a loop over them costs about a third
             # more here), each with _clip's tolerance tau.
             ext = 0.0
@@ -426,12 +409,11 @@ class HullState:
 def fbqs_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     """Simplified quadrant-hull window: a new point is accepted while the
     hull certificate keeps every buffered point within zeta of
-    line(P_s, P_k); any indeterminate or exceeded bound emits and restarts
-    at P_{k-1}.
+    line(P_s, P_k); once it does not, emits and restarts at P_{k-1}.
 
     Cost model: one ``HullState.add`` and one ``HullState.exceeds`` per
-    point, O(1) each. Most quadrants are settled by the box or wedge bound
-    there and the rest by the region's extreme; a polygon is clipped only
+    point, O(1) each. Most quadrants are settled by the box bound there
+    and the rest by the region's extreme; a polygon is clipped only
     when the extreme lies within the rounding band about zeta, as when a
     grid route puts a point exactly zeta off the line, so walks and grid
     routes clip next to nothing."""

@@ -70,7 +70,14 @@ def _segment_distances(
         start, end = seg.start, seg.end
         dx = end.x - start.x
         dy = end.y - start.y
-        table += (fresh, start.x, start.y, dx, dy, math.hypot(dx, dy))
+        length = math.hypot(dx, dy)
+        if length < 2.0 ** -1000:
+            # hypot rounds absolutely where (dx, dy) is subnormal, so the
+            # chord is scaled first; a power of two scales exactly.
+            dx *= 2.0 ** 1000
+            dy *= 2.0 ** 1000
+            length = math.hypot(dx, dy)
+        table += (fresh, start.x, start.y, dx, dy, length)
     if idx != len(traj):
         raise InvariantError(
             f"covered counts consume {idx} points, input has {len(traj)}"

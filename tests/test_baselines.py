@@ -164,15 +164,15 @@ class TestHullState:
 
     def test_the_cheap_bounds_settle_without_clipping(self, clip_calls):
         # Off a 30-degree line the box's corners lie far from it, so the box
-        # bound fails; the bearings' wedge settles every query instead.
+        # bound fails; the region's extreme settles every query instead.
         hull = HullState()
         c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
         for i in range(1, 50):
             hull.add(7.0 * i * c, 7.0 * i * s)
             assert not hull.exceeds(7.0 * (i + 1) * c, 7.0 * (i + 1) * s, 1.0)
             assert not clip_calls
-        # A wedge 45 degrees wide reaches 35 off the x axis at radius 50,
-        # but the box is 0.1 high: only the box bound settles this one.
+        # The bearings span 45 degrees, but the box is 0.1 high: the box
+        # bound settles this one.
         hull = HullState()
         hull.add(0.1, 0.1)
         hull.add(50.0, 0.0)
@@ -188,8 +188,8 @@ class TestHullState:
         for x, y in [(8.0, 8.0), (1.0, 0.0), (10.0, 0.0)]:
             hull.add(x, y)
         cases = [
-            # 30 degrees: the box bound sees (1, 8) at 6.43 and the wedge
-            # bound reaches 6.40; the region peaks at the corner (10, 0).
+            # 30 degrees: the box bound sees (1, 8) at 6.43; the region
+            # peaks at the corner (10, 0).
             (math.radians(30.0), 5.0),
             # 10 degrees: the region peaks at the ray's exit (8, 8), above
             # every corner the wedge keeps.
@@ -215,8 +215,8 @@ class TestHullState:
         hull = HullState()
         for x, y in [(8.0, 8.0), (2.0, 1.0), (10.0, 6.0)]:
             hull.add(x, y)
-        # 60 degrees: (10, 1) would reach 8.16 and the wedge bound 7.06;
-        # the region peaks at the ray's exit.
+        # 60 degrees: (10, 1) would reach 8.16; the region peaks at the
+        # ray's exit.
         phi = math.radians(60.0)
         ux, uy = math.cos(phi), math.sin(phi)
         d = abs(10.0 * uy - 5.0 * ux)
@@ -230,8 +230,8 @@ class TestHullState:
         hull = HullState()
         for x, y in [(8.0, 8.0), (1.0, 0.0), (10.0, 0.0)]:
             hull.add(x, y)
-        # Along (15, 8) / 17 the box bound sees the corner (1, 8) at 6.59
-        # and the wedge bound reaches 6.03; the region peaks at (10, 0).
+        # Along (15, 8) / 17 the box bound sees the corner (1, 8) at 6.59;
+        # the region peaks at (10, 0).
         ux, uy = 15.0 / 17.0, 8.0 / 17.0
         ext = abs(10.0 * uy - 0.0 * ux)
         slack = 5e-12 * math.hypot(10.0, 8.0) + 1e-300
@@ -247,7 +247,6 @@ class TestHullState:
         assert hull.exceeds(15.0, 8.0, math.nextafter(lower, 0.0))
         assert len(clip_calls) == 2
 
-    @settings(max_examples=60)
     @given(
         st.lists(
             st.tuples(

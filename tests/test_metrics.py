@@ -184,6 +184,17 @@ class TestVerifyErrorBound:
         assert len(violations) == 1
         assert violations[0][0] == 1 and math.isnan(violations[0][1])
 
+    def test_a_subnormal_chord_is_measured_exactly(self):
+        # hypot(1e-323, -5e-324) rounds to 1e-323, while the chord's
+        # direction is (2, -1) / sqrt(5): (60, 100) lies 260 / sqrt(5) off
+        # it, not the 130 the rounded length would give.
+        traj = [P(0, 0, 0), P(60, 100, 1), P(1e-323, -5e-324, 2)]
+        rep = rep_of(Segment(traj[0], traj[2], 3))
+        assert _probe_distance(traj[0], traj[2], traj[1]) == pytest.approx(
+            260.0 / math.sqrt(5.0), rel=1e-15)
+        assert verify_error_bound(rep, traj, 117.0)[0]
+        assert not verify_error_bound(rep, traj, 116.0)[0]
+
     @pytest.mark.parametrize("zeta", [math.inf, -1.0, math.nan, 0.0, 5e-324])
     def test_refuses_the_zetas_fit_config_refuses(self, zeta):
         rep = dp_simplify(TENT, 1.5)

@@ -100,6 +100,12 @@ def reference_distances(traj, rep):
         dx = seg.end.x - seg.start.x
         dy = seg.end.y - seg.start.y
         length = math.hypot(dx, dy)
+        if length < 2.0 ** -1000:
+            # A subnormal chord, scaled by a power of two so that its
+            # hypot is not rounded absolutely.
+            dx *= 2.0 ** 1000
+            dy *= 2.0 ** 1000
+            length = math.hypot(dx, dy)
         px = xs[lo:hi] - seg.start.x
         py = ys[lo:hi] - seg.start.y
         if length == 0.0:
@@ -325,6 +331,9 @@ def hand_built(draw):
 
 
 @given(hand_built())
+# A chord with subnormal components, whose hypot rounds absolutely.
+@example(([Point(60.0, 100.0, 0.0)], PiecewiseRepresentation(
+    [Segment(Point(0.0, 0.0, 0.0), Point(1e-323, -5e-324, 0.0), 1)])))
 def test_distances_match_the_loop_on_hand_built_segments(case):
     traj, rep = case
     assert np.array_equal(fast_distances(traj, rep), reference_distances(traj, rep))
@@ -501,9 +510,12 @@ def boundary_zetas(ref):
 def test_hull_matches_the_rebuilding_one(offsets, theta, scale):
     """After every add, the hull's vertices and its decision at zeta on
     and around the reference bound equal the rebuilding hull's, for a line
-    at theta and for the zero-length query."""
+    at theta, for the zero-length query and for a subnormal direction."""
     hull, ref = HullState(), ReferenceHull()
-    queries = [(math.cos(theta), math.sin(theta)), (0.0, 0.0)]
+    # hypot(1e-323, -5e-324) rounds to 1e-323, so that direction divides
+    # to (1, -0.5), which is not of unit length.
+    queries = [(math.cos(theta), math.sin(theta)), (0.0, 0.0),
+               (1e-323, -5e-324)]
     for dx, dy in offsets:
         hull.add(dx * scale, dy * scale)
         ref.add(dx * scale, dy * scale)
@@ -542,7 +554,8 @@ def test_the_hull_cases_reach_the_polygon(clip_calls):
 
 def test_a_subnormal_direction_is_measured_as_the_reference_measures_it():
     # hypot(1e-323, -5e-324) rounds to 1e-323, so the direction (1, -0.5)
-    # is not of unit length: its wedge bound is |(1, -0.5)| * R, not R.
+    # is not of unit length: the hull must measure the point (60, 100) by
+    # it, at 130, as the rebuilding one does, and cut at zeta 120.
     traj = [Point(0.0, 0.0, 0.0), Point(40.0, 100.0, 1.0),
             Point(60.0, 100.0, 2.0), Point(1e-323, -5e-324, 3.0)]
     rep = fbqs_simplify(traj, 120.0)
