@@ -42,11 +42,20 @@ def _columns(traj: Sequence[Point], zeta: float) -> Columns:
 
 
 def _finalize(cols: Columns, bounds: List[Tuple[int, int]]) -> PiecewiseRepresentation:
+    """The segments over the chained (start, end) index pairs bounds.
+
+    Each end is one ``Point``, built in C, that is also the next segment's
+    start object, as in the encoder's output, so ``emit_segments`` formats
+    each shared vertex once."""
     xs, ys, ts = cols
-    segs = [
-        Segment(Point(xs[i], ys[i], ts[i]), Point(xs[j], ys[j], ts[j]), j - i + 1)
-        for i, j in bounds
-    ]
+    make = tuple.__new__  # make(Point, xyt) builds a Point in C
+    i = bounds[0][0]
+    start = make(Point, (xs[i], ys[i], ts[i]))
+    segs = []
+    for i, j in bounds:
+        end = make(Point, (xs[j], ys[j], ts[j]))
+        segs.append(Segment(start, end, j - i + 1))
+        start = end
     anomalous = sum(1 for s in segs if s.covered == 2)
     return PiecewiseRepresentation(segs, anomalous_candidates=anomalous)
 
@@ -117,9 +126,10 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     the window at P_{k-1} (P_k is re-examined there).
 
     Cost model: each numpy pass tests a block of 32 window ends at once,
-    as one (ends x interior) matrix of the distances of the points
-    s+1..e-2 to the chords P_s->P_e for the ends e in the block; each row
-    is masked to its own interior and the first row over zeta ends the
+    as one (ends x interior) matrix of |cross| of the points s+1..e-2 with
+    the chords P_s->P_e for the ends e in the block; each row is masked to
+    its own interior and reduced to its maximum, and only those maxima
+    are divided by their chord lengths. The first row over zeta ends the
     window. The windows of a walk hold a few dozen points, so a pass per
     end would pay about ten numpy calls for a tiny array; a block of 32
     spans such a window in one or two passes, while the rows computed past
@@ -127,44 +137,62 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     64 were both slower on walks and grid routes). Once a window holds
     more than 2048 points, fewer ends go into a pass, so that one pass
     holds about 2**16 distances (512 kB) and memory stays linear in the
-    window, as with one end per pass. The work stays
-    quadratic in the window length, as OPW's is by definition. Every
-    distance is the expression the one-end-per-pass loop used (math.hypot
+    window, as with one end per pass. The work stays quadratic in the
+    window length, as OPW's is by definition. A trajectory view's x and y
+    are read in place.
+
+    Every distance is the one the one-end-per-pass loop took (math.hypot
     chord length, |cross| / length, radial np.hypot for a zero-length
-    chord, NaN counting as a violation), so the segments are the same.
+    chord, NaN counting as a violation), so the segments are the same:
+    for a positive length L, correctly rounded division is monotone in
+    the numerator, so max(|c| / L) = max(|c|) / L bit for bit. A block
+    holding a zero-length chord divides the whole matrix and writes the
+    radial rows before it reduces.
     """
     cols = _columns(traj, zeta)
     n = len(cols[0])
-    xs = np.array(cols[0], dtype=np.float64)
-    ys = np.array(cols[1], dtype=np.float64)
+    if isinstance(traj, memoryview):
+        xy = np.asarray(traj)
+        xs = xy[:, 0]
+        ys = xy[:, 1]
+    else:
+        xs = np.array(cols[0], dtype=np.float64)
+        ys = np.array(cols[1], dtype=np.float64)
     bounds: List[Tuple[int, int]] = []
     s = 0
     k = 2  # the first end with an interior point
     while k < n:
         e = min(k + max(1, min(_OPW_BLOCK, _OPW_CELLS // (k - s))), n)
         rows = e - k
-        x0 = xs[s]
-        y0 = ys[s]
-        cx = xs[k:e] - x0
-        cy = ys[k:e] - y0
-        sx = xs[s + 1 : e - 1] - x0
-        sy = ys[s + 1 : e - 1] - y0
-        length = np.array(list(map(math.hypot, cx.tolist(), cy.tolist())))
-        zero = length == 0.0
-        length[zero] = 1.0  # rows of radial distances, set below
+        # Offsets from P_s of the points s+1..e-1: the interior, then the ends.
+        wx = xs[s + 1 : e] - xs[s]
+        wy = ys[s + 1 : e] - ys[s]
+        sx = wx[:-1]
+        sy = wy[:-1]
+        cx = wx[k - s - 1 :]
+        cy = wy[k - s - 1 :]
+        lens = list(map(math.hypot, cx.tolist(), cy.tolist()))
         d = cx[:, None] * sy
         d -= cy[:, None] * sx
         np.abs(d, out=d)
-        d /= length[:, None]
-        if zero.any():
+        radial = 0.0 in lens
+        if radial:
+            length = np.array(lens)
+            zero = length == 0.0
+            length[zero] = 1.0  # rows of radial distances, set below
+            d /= length[:, None]
             d[zero] = np.hypot(sx, sy)
         # Row r (end k + r) owns the interior columns before k + r - s - 1.
         d[:, k - s - 1 :][_OPW_TAIL[:rows, : rows - 1]] = 0.0
-        bad = ~(d.max(axis=1) <= zeta)
-        if not bad.any():
+        worst = np.maximum.reduce(d, axis=1)
+        if not radial:
+            worst /= lens
+        ok = worst <= zeta
+        r = int(ok.argmin())  # the first row over zeta, if there is one
+        if ok[r]:
             k = e
             continue
-        end = k + int(bad.argmax())
+        end = k + r
         bounds.append((s, end - 1))
         s = end - 1
         k = end + 1
@@ -187,13 +215,17 @@ class HullState:
     nothing. ``exceeds`` settles a quadrant with the box bound or the
     region's exact extreme, a few dozen multiplications in all, and clips
     its polygon only when the extreme lies within the rounding band about
-    zeta; ``vertices`` clips every quadrant.
+    zeta; ``vertices`` clips every quadrant. The extreme needs the cosine
+    and sine of both bearings: ``exceeds`` takes them once per bearing
+    move and keeps them in the quadrant's record.
     """
 
     __slots__ = ("quads",)
 
     def __init__(self):
-        # quadrant -> [minx, maxx, miny, maxy, th_low, th_high]
+        # quadrant -> [minx, maxx, miny, maxy, th_low, th_high, trig], trig
+        # (cos th_low, sin th_low, cos th_high, sin th_high) or None until
+        # exceeds needs it.
         self.quads = {}
 
     def add(self, dx: float, dy: float) -> None:
@@ -205,7 +237,7 @@ class HullState:
             q = 3 if th >= -_HALF_PI else 2
         box = self.quads.get(q)
         if box is None:
-            self.quads[q] = [dx, dx, dy, dy, th, th]
+            self.quads[q] = [dx, dx, dy, dy, th, th, None]
             return
         if dx < box[0]:
             box[0] = dx
@@ -217,8 +249,10 @@ class HullState:
             box[3] = dy
         if th < box[4]:
             box[4] = th
+            box[6] = None
         elif th > box[5]:
             box[5] = th
+            box[6] = None
 
     @staticmethod
     def _clip(poly: List[Tuple[float, float]], cx: float, cy: float, keep_sign: float):
@@ -261,7 +295,7 @@ class HullState:
     @classmethod
     def _clipped(cls, box: list) -> List[Tuple[float, float]]:
         """The box clipped to the bearing wedge."""
-        minx, maxx, miny, maxy, th_l, th_h = box
+        minx, maxx, miny, maxy, th_l, th_h, _ = box
         poly = [(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy)]
         # Bearing wedge about the anchor: angle(v) <= th_h and >= th_l.
         # cross((cos th, sin th), v) = |v| sin(angle(v) - th).
@@ -329,7 +363,7 @@ class HullState:
             xh, xl = (1, 0) if uy >= 0.0 else (0, 1)
             yh, yl = (2, 3) if ux >= 0.0 else (3, 2)
         for box in self.quads.values():
-            minx, maxx, miny, maxy, th_l, th_h = box
+            minx, maxx, miny, maxy, th_l, th_h, trig = box
             r = math.hypot(maxx if maxx > -minx else minx,
                            maxy if maxy > -miny else miny)
             slack = 5e-12 * r + 1e-300
@@ -338,10 +372,10 @@ class HullState:
                     uy * box[xh] - ux * box[yh] <= limit
                     and ux * box[yl] - uy * box[xl] <= limit):
                 continue
-            cl = math.cos(th_l)
-            sl = math.sin(th_l)
-            ch = math.cos(th_h)
-            sh = math.sin(th_h)
+            if trig is None:
+                trig = box[6] = (math.cos(th_l), math.sin(th_l),
+                                 math.cos(th_h), math.sin(th_h))
+            cl, sl, ch, sh = trig
             # The corners, unrolled (a loop over them costs about a third
             # more here), each with _clip's tolerance tau.
             ext = 0.0

@@ -68,6 +68,27 @@ class TestCommonContract:
                 assert plain == rep
                 assert all(type(s.start) is P and type(s.end) is P for s in plain)
 
+    @pytest.mark.parametrize("kind", ["walk", "grid", "parked"])
+    def test_segments_share_their_vertices(self, algo, kind):
+        """Each end is one Point equal to the input row it came from, and
+        it is the next segment's start object."""
+        if kind == "grid":
+            traj = gen_grid_route(300, 3, step=20)
+        else:
+            traj = gen_random_walk(300, 3)
+        if kind == "parked":
+            # position i held for 1 + i % 3 samples
+            traj = [P(p.x, p.y, float(3 * i + r))
+                    for i, p in enumerate(traj) for r in range(1 + i % 3)]
+        segs = algo(traj, 10.0).segments
+        assert len(segs) > 10
+        assert all(segs[i + 1].start is segs[i].end for i in range(len(segs) - 1))
+        k = 0
+        for seg in segs:
+            k += seg.covered - 1
+            assert type(seg.end) is P and seg.end == traj[k]
+        assert k == len(traj) - 1
+
     def test_covered_counts_chain_across_all_points(self, algo):
         traj = gen_random_walk(80, seed=5)
         rep = algo(traj, 10.0)

@@ -4,9 +4,9 @@ code they replaced.
 ``ingest_csv`` parses with ``csv.reader`` and positional columns, and
 ``_segment_distances`` gathers per-segment line parameters in one pass and
 measures every point with whole-array numpy.  ``opw_simplify`` tests a
-block of window ends per numpy pass, and ``HullState`` clips a quadrant's
-polygon only when neither a cheap bound nor the region's extreme can
-settle a query.  The references
+block of window ends per numpy pass, reading a trajectory view in place,
+and ``HullState`` clips a quadrant's polygon only when neither a cheap
+bound nor the region's extreme can settle a query.  The references
 below are the earlier ``DictReader`` ingest, per-segment distance loop
 (with its own walk of the covered counts, sharing no code with the one it
 checks), one-end-per-pass OPW and rebuild-every-query hull, kept here
@@ -19,6 +19,7 @@ import csv
 import math
 import random
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from trajsimp.baselines import HullState, fbqs_simplify, opw_simplify
 from trajsimp.datagen import gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError, InvariantError
 from trajsimp.fitting import FitConfig
-from trajsimp.geometry import Point
+from trajsimp.geometry import Point, rows_view
 from trajsimp.harness import ALGORITHMS
 from trajsimp.io import INPUT_COLUMNS, ingest_csv
 from trajsimp.metrics import _segment_distances
@@ -136,9 +137,21 @@ def _span_distances(xs, ys, i, j):
     return np.abs(dx * sy - dy * sx) / length
 
 
+def as_points(traj):
+    """traj as a list of Points; a trajectory view's rows become Points."""
+    if isinstance(traj, memoryview):
+        return [Point(*row) for row in traj.tolist()]
+    return list(traj)
+
+
+def as_view(traj):
+    """traj as a trajectory view over its own buffer."""
+    return rows_view(array("d", [c for p in traj for c in p]))
+
+
 def reference_opw(traj, zeta):
     """The open window tested one end per numpy pass."""
-    pts = list(traj)
+    pts = as_points(traj)
     n = len(pts)
     xs = np.fromiter((p.x for p in pts), dtype=np.float64, count=n)
     ys = np.fromiter((p.y for p in pts), dtype=np.float64, count=n)
@@ -254,7 +267,7 @@ class ReferenceHull:
 
 def reference_fbqs(traj, zeta):
     """The quadrant-hull window over ReferenceHull."""
-    pts = list(traj)
+    pts = as_points(traj)
     n = len(pts)
     bounds = []
     s = 0
@@ -391,13 +404,15 @@ def jittered(traj, seed, amp):
 
 OBLIQUE = [math.pi / 6, math.pi / 4, -3 * math.pi / 4]
 
+revisit_cases = st.builds(
+    revisits,
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+             min_size=1, max_size=3 * BLOCK),
+)
+
 window_cases = st.one_of(
     trajectories,
-    st.builds(
-        revisits,
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                 min_size=1, max_size=3 * BLOCK),
-    ),
+    revisit_cases,
     st.builds(
         lambda kind, n, seed: kind(n, seed, step=20.0),
         st.sampled_from([gen_random_walk, gen_grid_route]),
@@ -426,6 +441,8 @@ window_cases = st.one_of(
         st.integers(5, 30),
         st.integers(50, 300),
     ),
+    # Trajectory views, whose x and y opw_simplify reads in place.
+    st.builds(as_view, st.one_of(trajectories, revisit_cases)),
 )
 
 
@@ -453,6 +470,9 @@ window_cases = st.one_of(
 @example(shifted(gen_random_walk(400, 11, step=20.0), 1e7), 2e-5, baselines._OPW_CELLS)
 @example(shifted(gen_grid_route(400, 12, step=20.0), -2.5e7), 2e7, baselines._OPW_CELLS)
 @example(parked(gen_random_walk(40, 13), 10, 300), 10.0, baselines._OPW_CELLS)
+@example(as_view(parked(gen_random_walk(BLOCK + 2, 9, step=20.0), 2, 5)), 10.0, 100)
+@example(as_view(revisits([(0, 0), (1, 0), (2, 0), (3, 0)] * 12)), 40.0,
+         baselines._OPW_CELLS)
 def test_window_baselines_match_the_one_end_loops(traj, zeta, cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "_OPW_CELLS", cells)
@@ -460,19 +480,35 @@ def test_window_baselines_match_the_one_end_loops(traj, zeta, cells):
     assert fbqs_simplify(traj, zeta) == reference_fbqs(traj, zeta)
 
 
+def opw_blocks(n, rep, cells):
+    """(s, ends) for each block of window ends opw_simplify tests on n
+    points to give rep: the window from s tests the ends from s + 2 on, in
+    blocks of up to BLOCK and about cells distances, through the block
+    holding the end that closed it."""
+    s = 0
+    for seg in rep.segments:
+        last = min(s + seg.covered, n - 1)
+        k = s + 2
+        while k <= last:
+            e = min(k + max(1, min(BLOCK, cells // (k - s))), n)
+            yield s, range(k, e)
+            k = e
+        s += seg.covered - 1
+
+
 def test_the_window_cases_reach_long_windows_and_zero_length_chords():
     rep = opw_simplify(straight(3 * BLOCK, 0.0, 0), 1.0)
     assert [s.covered for s in rep.segments] == [3 * BLOCK]
-    # A parked run puts tested window ends on the window start's position.
+    # A parked run puts tested window ends on the window start's position,
+    # in blocks that also test ends off it: rows of radial distances next
+    # to rows divided by their chord lengths.
     still = parked(gen_random_walk(BLOCK + 2, 9, step=20.0), 2, 5)
     rep = opw_simplify(still, 10.0)
-    zero_chords = s = 0
-    for seg in rep.segments:
-        e = s + seg.covered - 1
-        ends = range(s + 2, min(e + 2, len(still)))
-        zero_chords += sum(still[k][:2] == still[s][:2] for k in ends)
-        s = e
-    assert len(rep) > 1 and zero_chords > 0
+    mixed = 0
+    for s, ends in opw_blocks(len(still), rep, baselines._OPW_CELLS):
+        on = [still[k][:2] == still[s][:2] for k in ends]
+        mixed += any(on) and not all(on)
+    assert len(rep) > 1 and mixed > 0
     # Shuttling back to the window start: the zero-length chord's interior
     # lies up to 75 from it, so that end closes the window.
     shuttle = revisits([(0, 0), (1, 0), (2, 0), (3, 0)] * 12)
