@@ -25,7 +25,8 @@ def _columns(traj: Sequence[Point], zeta: float) -> Columns:
     a trajectory view; ``_finalize`` builds the segment ends as Points.
     The first point whose x or y is not within the bound of
     ``coord_limit`` (NaN included) is refused with a DataError, in one
-    numpy pass; t is never read."""
+    numpy pass; t is never read. ``columns`` refuses a memoryview that is
+    not a trajectory view before any caller reads one in place."""
     check_zeta(zeta)
     cols = columns(traj)
     if not cols[0]:

@@ -11,6 +11,14 @@ row; read it with ``view.tolist()``, ``np.asarray(view)`` (no copy) or
 trajectory in the form it needs: ``iter_points`` hands the encoder a view's
 rows as plain ``(x, y, t)`` tuples, and the encoder builds a ``Point`` only
 for a row that becomes a segment endpoint.
+
+Every reader of a view (``iter_points``, ``columns``, ``admits`` here, the
+baselines and ``metrics``) first calls ``check_view``, which refuses a
+memoryview of any other layout (another format, shape or stride) with
+``ValueError`` rather than reinterpret its bytes as x, y, t rows.
+``admits`` tests a whole view at once, in numpy, against the encoder's
+per-point check, so the encoder can skip that check row by row; numpy is
+imported only there.
 """
 
 import math
@@ -37,9 +45,44 @@ def rows_view(buf: array) -> memoryview:
     return memoryview(buf).cast("B").cast("d", (len(buf) // 3, 3))
 
 
+def check_view(traj: Sequence[Point]) -> None:
+    """Raise ValueError if traj is a memoryview but not a trajectory view:
+    C-contiguous, format "d", shape (n, 3)."""
+    if isinstance(traj, memoryview) and not (
+        traj.format == "d" and traj.ndim == 2 and traj.shape[1] == 3
+        and traj.c_contiguous
+    ):
+        raise ValueError(
+            "a trajectory view must be a C-contiguous (n, 3) memoryview of"
+            f" format 'd', got format {traj.format!r}, shape {traj.shape}"
+            f"{'' if traj.c_contiguous else ', not C-contiguous'}"
+        )
+
+
 def _flat(view: memoryview) -> memoryview:
     """A trajectory view as one flat run of x, y, t values."""
+    check_view(view)
     return view.cast("B").cast("d")
+
+
+def admits(view: memoryview, lim: float) -> bool:
+    """Whether every row of view, a trajectory view of at least one row,
+    after the first passes the encoder's per-point check: |x| and |y|
+    below lim, t above the previous row's t and below inf.
+
+    One numpy pass over the view in place. NaN fails every comparison, so
+    a row holding one is not admitted; the first row is the encoder's own
+    to check."""
+    import numpy as np
+
+    check_view(view)
+    xyt = np.asarray(view)
+    t = xyt[:, 2]
+    return bool(
+        t[-1] < math.inf
+        and (t[1:] > t[:-1]).all()
+        and (np.abs(xyt[1:, :2]) < lim).all()
+    )
 
 
 def iter_points(traj: Sequence[Point]) -> Iterator[Tuple[float, float, float]]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .fitting import check_zeta
-from .geometry import Point
+from .geometry import Point, check_view
 from .onepass import PiecewiseRepresentation
 
 BOUND_SLACK = 1e-9
@@ -53,7 +53,9 @@ def _segment_distances(
     """Distance from every input point to the line of the segment it maps
     to.  The walk assigns boundary samples to the earlier segment; they sit
     on both lines, so the choice does not affect any metric.  Raises
-    InvariantError when the covered counts do not add up to len(traj)."""
+    InvariantError when the covered counts do not add up to len(traj), and
+    ValueError for a memoryview that is not a trajectory view."""
+    check_view(traj)
     # One Python pass over the segments walks the covered counts and gathers
     # their line parameters; the rest is whole-array numpy.  The length
     # comes from math.hypot because np.hypot can differ from it in the last

@@ -24,11 +24,12 @@ from typing import Iterable, List, Optional, Tuple
 from .errors import DataError
 from .fitting import (PATCH_REACH, FitConfig, FitState, coord_error,
                       coord_limit)
-from .geometry import TWO_PI, Point, iter_points, norm_angle
+from .geometry import TWO_PI, Point, admits, iter_points, norm_angle
 
 
 _INF = math.inf
 _SNAPSHOT = object()  # sent to the kernel to read its fit state
+_ADMITTED = object()  # sent to the kernel before rows that passed admits()
 
 
 class Mode(enum.Enum):
@@ -193,6 +194,8 @@ class OperbEncoder:
         - an iterable of points: it returns the list of segments that
           became final;
         - _SNAPSHOT: it returns the fit state as a FitState;
+        - _ADMITTED: the next send's points skip the per-point check,
+          because ``admits`` has already passed every one of them;
         - None: it runs the finish logic and returns the last segments.
         A rejected point makes it return None with a DataError in
         self._error and the state as it stood before that point. It never
@@ -218,7 +221,6 @@ class OperbEncoder:
         # Coordinates past lim would overflow the fit's arithmetic.
         lim = coord_limit(zeta)
         nlim = -lim
-        floor = math.floor
         ceil = math.ceil
         norm = norm_angle
         two_pi = TWO_PI
@@ -251,6 +253,8 @@ class OperbEncoder:
         # anom implies prev.
         prev = anom = None
         out = None
+        # Whether this send's points get the per-point check.
+        checked = True
 
         def dispatch(seg):
             """The only route out for a segment whose covered count is
@@ -291,21 +295,28 @@ class OperbEncoder:
                 out = FitState(anchor, la, cnt, dplus, dminus, lz, flen, fth,
                                fcos, fsin, sqrt(dx * dx + dy * dy), racos, rasin)
                 continue
+            if pts is _ADMITTED:
+                checked = False
+                continue
             out = []
             for p in pts:
-                try:
+                if checked:
+                    try:
+                        px, py, pt = p
+                        # "+ 0.0" turns away numbers that do not mix with
+                        # floats.
+                        if not (
+                            last_t < pt + 0.0 < inf
+                            and nlim < px + 0.0 < lim
+                            and nlim < py + 0.0 < lim
+                        ):
+                            raise _point_error(k, p, last_t, lim)
+                    except Exception as exc:
+                        self._error = _refused(k, exc)
+                        out = None
+                        break
+                else:
                     px, py, pt = p
-                    # "+ 0.0" turns away numbers that do not mix with floats.
-                    if not (
-                        last_t < pt + 0.0 < inf
-                        and nlim < px + 0.0 < lim
-                        and nlim < py + 0.0 < lim
-                    ):
-                        raise _point_error(k, p, last_t, lim)
-                except Exception as exc:
-                    self._error = _refused(k, exc)
-                    out = None
-                    break
                 # Each pass ends with p consumed, absorbed or passed by the one
                 # deviation test, unless p breaks the segment; the retry then
                 # offers p to the closed segment (opt5) or the fresh fit,
@@ -364,14 +375,16 @@ class OperbEncoder:
                             fits = False
                     if flen == 0.0 or fits:
                         # p is active. Its zone j: radius in
-                        # ((j - 1/2)*zeta/2, (j + 1/2)*zeta/2], values within
-                        # 1e-12 of an integer snapped before the ceiling so
+                        # ((j - 1/2)*zeta/2, (j + 1/2)*zeta/2], values less
+                        # than 1e-12 above an integer snapped down so
                         # 1.0000000000000002 zones does not jump a zone.
-                        # r_len > thr0 >= zeta/4 keeps j >= 0.
+                        # r_len > thr0 >= zeta/4 keeps zx >= 0. Below 2**52,
+                        # zx - (j - 1) is exact; from there on zx is an
+                        # integer, and j - 1 may round up to it as a float.
                         zx = 2.0 * r_len / zeta - 0.5
-                        j = floor(zx + 0.5)
-                        if not -1e-12 < zx - j < 1e-12:
-                            j = ceil(zx)
+                        j = ceil(zx)
+                        if zx < 2.0 ** 52 and zx - (j - 1) < 1e-12:
+                            j -= 1
                         jl = j * half
                         inv = 1.0 / r_len
                         if flen == 0.0:
@@ -409,7 +422,8 @@ class OperbEncoder:
                         flen = jl
                         racos = dx * inv
                         rasin = dy * inv
-                        if type(p) is not point and type(p) is not tuple:
+                        tp = type(p)
+                        if tp is not point and tp is not tuple:
                             # A list or another triple the caller may
                             # change later: keep a copy.
                             p = point(px, py, pt)
@@ -442,6 +456,7 @@ class OperbEncoder:
                 ly = py
                 last_t = pt
                 k += 1
+            checked = True
 
         out = []
         if type(la) is not point:
@@ -505,7 +520,10 @@ def simplify(
     """Run the encoder over a whole trajectory in one send to its kernel.
 
     Each point is read exactly once: a list or tuple by index, a
-    trajectory view row by row, any other iterable as it streams.
+    trajectory view row by row, any other iterable as it streams. A view
+    whose rows all pass ``admits`` skips the kernel's per-point check; any
+    other input, and a view that fails, is checked point by point, so the
+    error names the first point refused.
     """
     pts = iter_points(traj)
     try:
@@ -513,6 +531,8 @@ def simplify(
     except StopIteration:
         raise ValueError("simplify needs at least one point") from None
     enc = OperbEncoder(cfg, mode, first)
+    if isinstance(traj, memoryview) and admits(traj, coord_limit(cfg.zeta)):
+        enc._send(_ADMITTED)
     segments = enc._send(pts)
     if segments is None:
         raise enc._error

@@ -3,9 +3,12 @@
 import math
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trajsimp.baselines import dp_simplify, fbqs_simplify, opw_simplify
+from trajsimp.fitting import FitConfig
 from trajsimp.geometry import (
     M_PER_DEG_LAT,
     M_PER_DEG_LON,
@@ -14,6 +17,8 @@ from trajsimp.geometry import (
     project_equirectangular,
     rows_view,
 )
+from trajsimp.metrics import verify_error_bound
+from trajsimp.onepass import simplify
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -65,3 +70,39 @@ def test_project_equirectangular_one_row_is_the_origin():
     assert project_equirectangular(view_of([(-74.0, 40.0, 5.0)])).tolist() == [
         [0.0, 0.0, 5.0]
     ]
+
+
+ROWS = [(0.0, 0.0, 0.0), (5.0, 1.0, 1.0), (10.0, -1.0, 2.0), (15.0, 0.0, 3.0)]
+
+# Each reader of a trajectory view, run on traj.
+VIEW_READERS = {
+    "operb": lambda traj: simplify(traj, FitConfig(zeta=2.0)),
+    "dp": lambda traj: dp_simplify(traj, 2.0),
+    "opw": lambda traj: opw_simplify(traj, 2.0),
+    "fbqs": lambda traj: fbqs_simplify(traj, 2.0),
+    "verify": lambda traj: verify_error_bound(simplify(ROWS, FitConfig(zeta=2.0)),
+                                              traj, 2.0),
+}
+
+# Memoryviews over ROWS's values, or as many, in another layout.
+WRONG_LAYOUTS = {
+    "float32": lambda: memoryview(np.array(ROWS, dtype=np.float32)),
+    "1-D": lambda: memoryview(np.array(ROWS).ravel()),
+    "(n, 2)": lambda: memoryview(np.array(ROWS).reshape(-1, 2)),
+    "strided": lambda: memoryview(np.repeat(np.array(ROWS), 2, axis=0))[::2],
+}
+
+
+@pytest.mark.parametrize("reader", VIEW_READERS)
+@pytest.mark.parametrize("layout", WRONG_LAYOUTS)
+def test_a_memoryview_of_another_layout_is_refused(reader, layout):
+    """Not read as x, y, t rows: a float32, flat, two-column or strided
+    memoryview would give segments over reinterpreted bytes."""
+    with pytest.raises(ValueError, match=r"C-contiguous \(n, 3\) memoryview"):
+        VIEW_READERS[reader](WRONG_LAYOUTS[layout]())
+
+
+@pytest.mark.parametrize("reader", VIEW_READERS)
+def test_a_float64_array_view_reads_as_its_rows(reader):
+    read = VIEW_READERS[reader]
+    assert read(memoryview(np.array(ROWS))) == read(view_of(ROWS)) == read(ROWS)

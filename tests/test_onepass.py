@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from trajsimp.datagen import SplitMix64, gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
-from trajsimp.fitting import FitConfig
-from trajsimp.geometry import TWO_PI, Point, iter_points, rows_view
+from trajsimp.fitting import FitConfig, coord_limit
+from trajsimp.geometry import TWO_PI, Point, admits, iter_points, rows_view
 from trajsimp.metrics import _segment_distances, verify_error_bound
 from trajsimp.onepass import (
     Mode,
@@ -813,3 +813,119 @@ def test_a_pushed_list_changed_after_push_leaves_the_output_as_it_was(mode):
             q[:] = [1e9, -1e9, -1.0]
         segs += enc.finish()
         assert segs == simplify(traj, cfg, mode).segments
+
+
+# Hostile rows for the admission test: a field and what goes in it. "prev"
+# copies the predecessor's t, "below" steps under it; "lim" puts sign*lim
+# into the field, "lim-" and "lim+" the floats just inside and outside.
+HOSTILE_ROWS = [(f, v) for f in (0, 1, 2) for v in (math.nan, math.inf, -math.inf)]
+HOSTILE_ROWS += [(2, "prev"), (2, "below")]
+HOSTILE_ROWS += [(f, v) for f in (0, 1) for v in ("lim", "lim-", "lim+")]
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 40),
+    idx=st.integers(0, 39),
+    hostile=st.none() | st.sampled_from(HOSTILE_ROWS),
+    sign=st.sampled_from([1.0, -1.0]),
+    zeta=st.sampled_from([1e-250, 10.0, 40.0]),
+    mode=st.sampled_from(list(Mode)),
+)
+@example(seed=3, n=5, idx=4, hostile=(2, math.inf), sign=1.0, zeta=10.0,
+         mode=Mode.OPERB)
+@example(seed=3, n=1, idx=0, hostile=None, sign=1.0, zeta=10.0, mode=Mode.OPERB_A)
+def test_a_view_is_refused_and_simplified_as_its_rows_are(
+    seed, n, idx, hostile, sign, zeta, mode
+):
+    """A view admitted in one pass skips the per-point check, so admission
+    must pass exactly the views that check passes: with one hostile row
+    injected, simplify on the view raises the DataError the checked path
+    raises on the same rows as tuples, and a clean view gives the same
+    output."""
+    rows = [list(p) for p in gen_random_walk(n, seed)]
+    lim = coord_limit(zeta)
+    k = idx % n
+    if hostile is not None:
+        field, value = hostile
+        if value in ("prev", "below"):
+            k = max(k, 1) if n > 1 else None
+            if k is not None:
+                prev_t = rows[k - 1][2]
+                value = prev_t if value == "prev" else math.nextafter(prev_t, -math.inf)
+        elif isinstance(value, str):
+            value = sign * {"lim": lim, "lim-": math.nextafter(lim, 0.0),
+                            "lim+": math.nextafter(lim, math.inf)}[value]
+        if k is not None:
+            rows[k][field] = value
+    view = rows_view(array("d", [v for row in rows for v in row]))
+    cfg = FitConfig(zeta=zeta)
+    try:
+        expect = simplify([tuple(r) for r in rows], cfg, mode)
+    except DataError as exc:
+        expect = exc
+    if k is not None and k > 0:
+        assert admits(view, lim) is not isinstance(expect, DataError)
+    if isinstance(expect, DataError):
+        with pytest.raises(DataError) as got:
+            simplify(view, cfg, mode)
+        assert str(got.value) == str(expect)
+        assert type(got.value.__cause__) is type(expect.__cause__)
+    else:
+        got = simplify(view, cfg, mode)
+        assert got.segments == expect.segments
+        assert got.anomalous_candidates == expect.anomalous_candidates
+        assert got.patches == expect.patches
+
+
+def _old_zone(zx):
+    """The zone index as the kernel took it with two rounding calls."""
+    j = math.floor(zx + 0.5)
+    if not -1e-12 < zx - j < 1e-12:
+        j = math.ceil(zx)
+    return j
+
+
+def _kernel_zone(target):
+    """(zx, j): the kernel's zone fraction and index for the first active
+    point, put on the x axis where zx comes out near target."""
+    # A power-of-two zeta scales exactly; a large target takes a small one,
+    # so r stays below 2**51 and inside coord_limit(zeta) = 1e300 * zeta.
+    zeta = 2.0 ** (1 - max(0, math.frexp(target)[1] - 50))
+    r = (target + 0.5) * zeta / 2.0
+    enc = OperbEncoder(FitConfig(zeta=zeta, opt1=False), first=(0.0, 0.0, 0.0))
+    enc.push((r, 0.0, 1.0))
+    zx = 2.0 * math.sqrt(r * r + 0.0 * 0.0) / zeta - 0.5
+    return zx, enc.fit.last_zone
+
+
+def _zone_targets():
+    """Values where one rounding call could go wrong: integers, a snap
+    distance either side of them and half-way points, each give or take
+    six ulps, the powers of two where zx - (j - 1) stops being exact, and
+    the far end of the range."""
+    bases = [b for m in (1.0, 2.0, 3.0, 7.0, 100.0, 2.0 ** 20 + 1, 2.0 ** 40,
+                         2.0 ** 51 - 1)
+             for b in (m, m + 1e-12, m - 1e-12, m + 0.5)]
+    bases += [1e-12, 0.5, 2.0 ** 52, 2.0 ** 53, 2.0 ** 54, 1e100, 1e300]
+    out = []
+    for b in bases:
+        lo = hi = b
+        out.append(b)
+        for _ in range(6):
+            lo = math.nextafter(lo, 0.0)
+            hi = math.nextafter(hi, math.inf)
+            out += [lo, hi]
+    return out
+
+
+def test_zone_index_takes_one_rounding_call_to_the_same_zone():
+    for target in _zone_targets():
+        zx, j = _kernel_zone(target)
+        assert j == _old_zone(zx), (target, zx)
+
+
+@given(st.floats(min_value=1e-9, max_value=1e300))
+def test_zone_index_matches_the_floor_snap_ceil_rule(target):
+    zx, j = _kernel_zone(target)
+    assert j == _old_zone(zx)
