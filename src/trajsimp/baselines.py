@@ -11,7 +11,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .fitting import check_zeta, coord_error, coord_limit
-from .geometry import Point, columns
+from .geometry import Point, check_view, columns
 from .onepass import PiecewiseRepresentation, Segment
 
 Columns = Tuple[List[float], List[float], List[float]]
@@ -23,38 +23,55 @@ def _columns(traj: Sequence[Point], zeta: float) -> Columns:
 
     A point may be a Point, a plain (x, y, t) tuple or list, or a row of
     a trajectory view; ``_finalize`` builds the segment ends as Points.
-    The first point whose x or y is not within the bound of
-    ``coord_limit`` (NaN included) is refused with a DataError, in one
-    numpy pass; t is never read. ``columns`` refuses a memoryview that is
-    not a trajectory view before any caller reads one in place."""
+    ``columns`` refuses a memoryview that is not a trajectory view before
+    any caller reads one in place; see ``_check_xy`` for the coordinate
+    check."""
     check_zeta(zeta)
     cols = columns(traj)
     if not cols[0]:
         raise ValueError("need at least one point")
-    lim = coord_limit(zeta)
     # A view's x and y are read in place; other input from its columns.
     view = isinstance(traj, memoryview)
-    xy = np.asarray(traj)[:, :2].T if view else np.array(cols[:2])
-    ok = (np.abs(xy) < lim).all(axis=0)
-    if not ok.all():
-        k = int(ok.argmin())
-        raise coord_error(k, cols[0][k], cols[1][k], lim)
+    _check_xy(np.asarray(traj)[:, :2].T if view else np.array(cols[:2]), zeta)
     return cols
 
 
-def _finalize(cols: Columns, bounds: List[Tuple[int, int]]) -> PiecewiseRepresentation:
-    """The segments over the chained (start, end) index pairs bounds.
+def _check_xy(xy: np.ndarray, zeta: float) -> None:
+    """Refuse the first point whose x or y, in the (2, n) array xy, is not
+    within the bound of ``coord_limit`` (NaN included) with a DataError,
+    in one numpy pass; t is never read."""
+    lim = coord_limit(zeta)
+    ok = (np.abs(xy) < lim).all(axis=0)
+    if not ok.all():
+        k = int(ok.argmin())
+        raise coord_error(k, xy[0, k], xy[1, k], lim)
+
+
+def _vertices(bounds: List[Tuple[int, int]]) -> List[int]:
+    """The indices of the chain's vertices: the first start, then each end."""
+    return [bounds[0][0], *(j for _, j in bounds)]
+
+
+def _rows(cols: Columns, bounds: List[Tuple[int, int]]) -> List[tuple]:
+    """The (x, y, t) of each of the chain's vertices, from the columns."""
+    xs, ys, ts = cols
+    return [(xs[k], ys[k], ts[k]) for k in _vertices(bounds)]
+
+
+def _finalize(rows: Sequence[Sequence[float]],
+              bounds: List[Tuple[int, int]]) -> PiecewiseRepresentation:
+    """The segments over the chained (start, end) index pairs bounds, with
+    rows the (x, y, t) of the vertices ``_vertices(bounds)`` lists.
 
     Each end is one ``Point``, built in C, that is also the next segment's
     start object, as in the encoder's output, so ``emit_segments`` formats
     each shared vertex once."""
-    xs, ys, ts = cols
     make = tuple.__new__  # make(Point, xyt) builds a Point in C
-    i = bounds[0][0]
-    start = make(Point, (xs[i], ys[i], ts[i]))
+    rows = iter(rows)
+    start = make(Point, next(rows))
     segs = []
-    for i, j in bounds:
-        end = make(Point, (xs[j], ys[j], ts[j]))
+    for (i, j), row in zip(bounds, rows):
+        end = make(Point, row)
         segs.append(Segment(start, end, j - i + 1))
         start = end
     anomalous = sum(1 for s in segs if s.covered == 2)
@@ -109,7 +126,7 @@ def dp_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
             continue
         stack.append((split, j))
         stack.append((i, split))
-    return _finalize(cols, bounds)
+    return _finalize(_rows(cols, bounds), bounds)
 
 
 # Window ends opw_simplify tests per numpy pass, and the cap on ends x
@@ -139,8 +156,9 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     more than 2048 points, fewer ends go into a pass, so that one pass
     holds about 2**16 distances (512 kB) and memory stays linear in the
     window, as with one end per pass. The work stays quadratic in the
-    window length, as OPW's is by definition. A trajectory view's x and y
-    are read in place.
+    window length, as OPW's is by definition. A trajectory view is read
+    in place: its coordinates are checked there and each segment end is
+    taken from it, with no column lists built.
 
     Every distance is the one the one-end-per-pass loop took (math.hypot
     chord length, |cross| / length, radial np.hypot for a zero-length
@@ -150,15 +168,20 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     holding a zero-length chord divides the whole matrix and writes the
     radial rows before it reduces.
     """
-    cols = _columns(traj, zeta)
-    n = len(cols[0])
     if isinstance(traj, memoryview):
-        xy = np.asarray(traj)
-        xs = xy[:, 0]
-        ys = xy[:, 1]
+        check_zeta(zeta)
+        check_view(traj)
+        xyt = np.asarray(traj)
+        if not len(xyt):
+            raise ValueError("need at least one point")
+        _check_xy(xyt[:, :2].T, zeta)
+        xs = xyt[:, 0]
+        ys = xyt[:, 1]
     else:
+        cols = _columns(traj, zeta)
         xs = np.array(cols[0], dtype=np.float64)
         ys = np.array(cols[1], dtype=np.float64)
+    n = len(xs)
     bounds: List[Tuple[int, int]] = []
     s = 0
     k = 2  # the first end with an interior point
@@ -198,7 +221,9 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
         s = end - 1
         k = end + 1
     bounds.append((s, n - 1))
-    return _finalize(cols, bounds)
+    if isinstance(traj, memoryview):
+        return _finalize(xyt[_vertices(bounds)].tolist(), bounds)
+    return _finalize(_rows(cols, bounds), bounds)
 
 
 _HALF_PI = 0.5 * math.pi
@@ -469,4 +494,4 @@ def fbqs_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation
             hull = HullState()
         hull.add(px - ax, py - ay)
     bounds.append((s, n - 1))
-    return _finalize(cols, bounds)
+    return _finalize(_rows(cols, bounds), bounds)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import re
 import tracemalloc
 from array import array
@@ -23,6 +24,7 @@ from trajsimp.geometry import (
 )
 from trajsimp.harness import ALGORITHMS, compress_corpus
 from trajsimp.io import (
+    _BLOCK,
     INPUT_COLUMNS,
     OUTPUT_COLUMNS,
     emit_segments,
@@ -200,23 +202,30 @@ class TestIngest:
             assert got == compress_corpus(points, algo, FitConfig(10.0)), algo
 
     def test_keeps_at_most_32_bytes_per_row(self, tmp_path):
-        """An interleaved feed of 8 x 2,500 rows: what ingest keeps is the
-        rows' float64 buffers (24 bytes a row) and little else."""
-        n, vehicles = 2500, 8
+        """An interleaved feed of 8 x 5,000 rows: what ingest keeps is the
+        rows' float64 buffers (24 bytes a row) and little else, and what it
+        holds on the way is a few blocks' worth, never the whole file."""
+        n, vehicles = 5000, 8
         lines = [",".join(INPUT_COLUMNS)]
         for i in range(n):
             for k in range(vehicles):
                 lines.append(f"v{k},{i},{i * 1.25 + k!r},{-i / 7!r}")
         path = write(tmp_path, "\n".join(lines) + "\n")
+        # The bound on what ingest holds at its peak, next to the file.
+        transient = 10 * _BLOCK
+        assert os.path.getsize(path) > 2 * transient
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             corpus = ingest_csv(path)
-            kept = tracemalloc.get_traced_memory()[0] - before
+            now, peak = tracemalloc.get_traced_memory()
+            kept = now - before
         finally:
             tracemalloc.stop()
         assert sum(map(len, corpus.values())) == n * vehicles
         assert kept <= 32 * n * vehicles, f"{kept / (n * vehicles):.1f} bytes per row"
+        assert peak - now <= transient, f"{(peak - now) / _BLOCK:.1f} blocks"
 
 
 class TestRowOrder:
