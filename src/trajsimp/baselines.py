@@ -241,7 +241,7 @@ class HullState:
     nothing. ``exceeds`` settles a quadrant with the box bound or the
     region's exact extreme, a few dozen multiplications in all, and clips
     its polygon only when the extreme lies within the rounding band about
-    zeta; ``vertices`` clips every quadrant. The extreme needs the cosine
+    zeta. The extreme needs the cosine
     and sine of both bearings: ``exceeds`` takes them once per bearing
     move and keeps them in the quadrant's record.
     """
@@ -329,9 +329,6 @@ class HullState:
         if poly:
             poly = cls._clip(poly, math.cos(th_l), math.sin(th_l), 1.0)
         return poly
-
-    def vertices(self) -> List[Tuple[float, float]]:
-        return [v for box in self.quads.values() for v in self._clipped(box)]
 
     def exceeds(self, dx: float, dy: float, zeta: float) -> bool:
         """Whether some polygon vertex lies more than zeta (finite, > 0)

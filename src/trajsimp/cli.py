@@ -7,6 +7,10 @@ CSV), compare (stats table / JSON report across algorithms), verify
 Exit codes: 0 success, 1 usage error (an --output that cannot be written
 included), 2 bad input data, 3 violated guarantee (including a failed
 verify).
+
+compress, compare and verify import the batch layers (``harness``,
+``baselines``, ``metrics``) when they run, so ``--help`` and gen's
+synthetic kinds start without them or numpy.
 """
 
 import argparse
@@ -23,9 +27,10 @@ from .datagen import (
     gen_stepwise_adversarial,
 )
 from .errors import DataError, InvariantError
-from .harness import ALGORITHMS, RunConfig, compress_corpus, format_report, run_compare
 from .io import emit_segments, ingest_csv, write_corpus
-from .metrics import compute_stats, verify_error_bound
+
+# The names of harness.ALGORITHMS, in its order, without importing it.
+_ALGOS = ("dp", "opw", "fbqs", "operb", "operb-a")
 
 
 def _gen_stepwise(a):
@@ -90,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compress", help="compress a corpus to a segments CSV")
     _add_common(c)
-    c.add_argument("--algo", default="operb", choices=sorted(ALGORITHMS))
+    c.add_argument("--algo", default="operb", choices=sorted(_ALGOS))
     c.add_argument("--output", required=True, help="segments CSV path")
     c.set_defaults(func=_cmd_compress)
 
@@ -99,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument(
         "--algo",
         action="append",
-        choices=sorted(ALGORITHMS),
+        choices=sorted(_ALGOS),
         help="repeatable; default: all algorithms",
     )
     m.add_argument("--output", help="JSON report path")
@@ -107,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="recheck the error bound point by point")
     _add_common(v)
-    v.add_argument("--algo", default="operb", choices=sorted(ALGORITHMS))
+    v.add_argument("--algo", default="operb", choices=sorted(_ALGOS))
     v.set_defaults(func=_cmd_verify)
     return parser
 
@@ -119,7 +124,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _run_config(args, zetas, output=None) -> RunConfig:
+def _run_config(args, zetas, output=None):
+    from .harness import RunConfig
+
     return RunConfig(
         input=args.input,
         output=output,
@@ -145,12 +152,16 @@ def _check_output(path: str) -> None:
 
 
 def _ingest_and_compress(args):
+    from .harness import compress_corpus
+
     cfg = _run_config(args, [args.epsilon])
     corpus = ingest_csv(cfg.input, geo=cfg.geo)
     return corpus, compress_corpus(corpus, args.algo, cfg.fit_config(args.epsilon))
 
 
 def _cmd_compress(args) -> int:
+    from .metrics import compute_stats
+
     _check_output(args.output)
     corpus, reps = _ingest_and_compress(args)
     rows = emit_segments(reps.values(), args.output)
@@ -163,8 +174,10 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .harness import format_report, run_compare
+
     if args.algo is None:
-        args.algo = list(ALGORITHMS)
+        args.algo = list(_ALGOS)
     zetas = [float(s) for s in args.epsilon_list.split(",") if s.strip()]
     if not zetas:
         raise ValueError("--epsilon-list is empty")
@@ -178,6 +191,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .metrics import verify_error_bound
+
     corpus, reps = _ingest_and_compress(args)
     bad_total = 0
     for tid, pts in corpus.items():

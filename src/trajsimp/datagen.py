@@ -1,4 +1,4 @@
-"""Deterministic synthetic trajectories and an exact segment-count oracle.
+"""Deterministic synthetic trajectories and the committed figure fixtures.
 
 All randomness flows through SplitMix64 so corpora are reproducible across
 platforms and Python versions; nothing here touches the stdlib RNG.
@@ -6,12 +6,10 @@ platforms and Python versions; nothing here touches the stdlib RNG.
 
 import math
 from importlib import resources
-from typing import List, Sequence
-
-import numpy as np
+from typing import List
 
 from .fitting import check_zeta
-from .geometry import Point, columns
+from .geometry import Point
 from .io import ingest_csv
 
 _MASK64 = (1 << 64) - 1
@@ -133,11 +131,6 @@ def gen_stepwise_adversarial(k: int, zeta: float = 1.0) -> List[Point]:
     return pts
 
 
-def stepwise_drift(k: int) -> float:
-    """Closed-form fitted-direction drift after the k-step spiral."""
-    return sum(math.asin(1.0 / i) / i for i in range(2, k + 1))
-
-
 def figure_fixture(name: str) -> List[Point]:
     """Committed reference routes: 'route' (15 points) and 'corner'
     (9 points), stored as CSV next to the package."""
@@ -145,63 +138,3 @@ def figure_fixture(name: str) -> List[Point]:
         raise ValueError("name must be 'route' or 'corner'")
     path = resources.files("trajsimp").joinpath(f"data/figure_{name}.csv")
     return [Point(*row) for row in ingest_csv(str(path))[name].tolist()]
-
-
-def optimal_segments(traj: Sequence[Point], zeta: float) -> int:
-    """Fewest segments over all representations whose endpoints are input
-    samples, each span staying within zeta of its chord.  Exact via
-    shortest path on the span-validity graph; quadratic memory, so capped
-    at 2000 points.  traj may also hold plain (x, y, t) tuples or lists, or
-    be a trajectory view."""
-    n = len(traj)
-    if n > 2000:
-        raise ValueError("optimal_segments is O(n^2) per anchor, n capped at 2000")
-    if n == 0:
-        raise ValueError("need at least one point")
-    check_zeta(zeta)
-    if n <= 2:
-        return 1
-    xs, ys, _ = columns(traj)
-    xs = np.array(xs, dtype=np.float64)
-    ys = np.array(ys, dtype=np.float64)
-
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[0] = 0
-    frontier = [0]
-    hops = 0
-    while frontier:
-        hops += 1
-        nxt = []
-        for i in frontier:
-            dx = xs[i + 1 :] - xs[i]
-            dy = ys[i + 1 :] - ys[i]
-            lengths = np.hypot(dx, dy)
-            # cross[j, k] = how far interior point k strays off chord (i, j),
-            # scaled by chord length; prefix max gives the worst interior.
-            cross = np.abs(np.outer(dx, dy) - np.outer(dy, dx))
-            worst = np.empty(len(dx))
-            worst[0] = 0.0
-            if len(dx) > 1:
-                run = np.maximum.accumulate(cross, axis=1)
-                worst[1:] = run[np.arange(1, len(dx)), np.arange(len(dx) - 1)]
-            ok = worst <= zeta * lengths
-            # Degenerate chords (duplicate position) compare distances to
-            # the shared point instead.
-            zero = lengths == 0.0
-            if np.any(zero):
-                for j_rel in np.nonzero(zero)[0]:
-                    if j_rel == 0:
-                        ok[j_rel] = True
-                        continue
-                    ok[j_rel] = bool(
-                        np.all(np.hypot(dx[:j_rel], dy[:j_rel]) <= zeta)
-                    )
-            for j_rel in np.nonzero(ok)[0]:
-                j = i + 1 + j_rel
-                if dist[j] < 0:
-                    dist[j] = hops
-                    if j == n - 1:
-                        return hops
-                    nxt.append(j)
-        frontier = nxt
-    raise AssertionError("unreachable: adjacent samples always span validly")

@@ -62,7 +62,8 @@ def check_view(traj: Sequence[Point]) -> None:
 def _flat(view: memoryview) -> memoryview:
     """A trajectory view as one flat run of x, y, t values."""
     check_view(view)
-    return view.cast("B").cast("d")
+    # cast refuses a shape with a zero in it, so an empty view gets its own.
+    return view.cast("B").cast("d") if len(view) else memoryview(array("d"))
 
 
 def admits(view: memoryview, lim: float) -> bool:

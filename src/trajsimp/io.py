@@ -10,13 +10,14 @@ refuses is a hard error naming the line.  Blank lines are skipped.
 ``ingest_csv`` reads the file once, as bytes, a block of about 64 KiB at
 a time cut at a line end.  Each block is parsed by one ``np.loadtxt``
 call and checked in numpy: widths, finite values, non-empty ids, and
-timestamps that rise within each trajectory and above its last one.  The
-first block that holds a quote, a ``\\r``, a NUL, bytes that are not
-UTF-8, a line longer than ``csv.field_size_limit()``, a field loadtxt
-cannot read or a row that fails a check is not taken; from that block's
-first line to the end of the file, ``csv.reader`` and ``float`` read each
-row and the checks run row by row, as they always have.  The corpus, and
-every error with its text and line number, are the same on either path.
+timestamps that rise within each trajectory and above its last one.  A
+``\\r\\n`` line end is read as ``\\n``.  The first block that holds a quote,
+a ``\\r`` outside a ``\\r\\n``, a NUL, bytes that are not UTF-8, a line
+longer than ``csv.field_size_limit()``, a field loadtxt cannot read or a
+row that fails a check is not taken; from that block's first line to the
+end of the file, ``csv.reader`` and ``float`` read each row and the
+checks run row by row, as they always have.  The corpus, and every error
+with its text and line number, are the same on either path.
 
 ``ingest_csv`` keeps each trajectory as one flat float64 buffer and
 returns it as a trajectory view (see ``geometry``): an ``(n, 3)``
@@ -134,9 +135,9 @@ def _ingest_blocks(path: str, fh, bufs: Dict[str, array]):
             return line0, cols, block
         block += fh.readline()  # up to the next line end
         if cols is None:
-            header, _, rows = block.partition(b"\n")
-            text = _text(header)
-            if text is None or len(text) > limit:
+            header, nl, rows = block.partition(b"\n")
+            text = _text(header + nl)  # with its line end, so \r\n is seen whole
+            if text is None or len(text) - len(nl) > limit:
                 return 0, None, block
             cols = _header_columns(path, next(csv.reader([text])))
             *named, width = cols
@@ -151,10 +152,15 @@ def _ingest_blocks(path: str, fh, bufs: Dict[str, array]):
 
 
 def _text(block: bytes) -> Optional[str]:
-    """block as text, or None if it holds a quote, \\r or NUL, which the
-    csv module reads in its own way, or bytes that are not UTF-8."""
-    if b'"' in block or b"\r" in block or b"\0" in block:
+    """block as text with each \\r\\n read as \\n, or None if it holds a
+    quote, a NUL or a \\r that does not open a \\r\\n, which the csv module
+    reads in its own way, or bytes that are not UTF-8."""
+    if b'"' in block or b"\0" in block:
         return None
+    if b"\r" in block:
+        if block.count(b"\r") != block.count(b"\r\n"):
+            return None
+        block = block.replace(b"\r\n", b"\n")
     try:
         return block.decode("utf-8")
     except UnicodeDecodeError:
@@ -170,9 +176,9 @@ def _take_block(block: bytes, cols, dtype, limit: int,
     traj_id, or a timestamp that does not rise above its trajectory's
     last one.
 
-    block is whole lines without quotes, \\r or NUL, so splitting a line at
-    its commas gives csv.reader's fields, and loadtxt's float64 parse takes
-    a subset of what float() takes, to the same value."""
+    block is whole lines without quotes, NUL or a lone \\r, so splitting a
+    line at its commas gives csv.reader's fields, and loadtxt's float64
+    parse takes a subset of what float() takes, to the same value."""
     import numpy as np
 
     text = _text(block)

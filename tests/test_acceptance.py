@@ -21,11 +21,12 @@ from trajsimp.datagen import (
     gen_grid_route,
     gen_random_walk,
     gen_stepwise_adversarial,
-    optimal_segments,
 )
 from trajsimp.fitting import FitConfig
 from trajsimp.metrics import compute_stats, verify_error_bound
 from trajsimp.onepass import Mode, OperbEncoder, simplify
+
+from oracles import optimal_segments
 
 ZETAS = (5.0, 20.0, 40.0, 100.0)
 

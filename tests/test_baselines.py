@@ -14,6 +14,8 @@ from trajsimp.geometry import Point
 from trajsimp.metrics import verify_error_bound
 from trajsimp.onepass import Segment, simplify as encode
 
+from oracles import hull_vertices
+
 P = Point
 
 M_SHAPE = [P(0, 0, 0), P(1, 2, 1), P(2, 0, 2), P(3, 2, 3), P(4, 0, 4)]
@@ -172,7 +174,7 @@ class TestHullState:
         hull = HullState()
         assert not hull.exceeds(1.0, 0.0, 5e-324)
         assert not hull.exceeds(0.0, 0.0, 5e-324)
-        assert hull.vertices() == []
+        assert hull_vertices(hull) == []
 
     def test_single_point(self):
         hull = HullState()

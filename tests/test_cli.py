@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from trajsimp.cli import _KINDS, _parse_opts, main
+from trajsimp.cli import _ALGOS, _KINDS, _parse_opts, main
 from trajsimp.datagen import (
     figure_fixture,
     gen_grid_route,
@@ -197,7 +197,7 @@ class TestVerify:
         # checker that reports violations to exercise the failure path.
         fake = [(i, 99.5) for i in range(8)]
         monkeypatch.setattr(
-            "trajsimp.cli.verify_error_bound", lambda rep, pts, zeta: (False, fake)
+            "trajsimp.metrics.verify_error_bound", lambda rep, pts, zeta: (False, fake)
         )
         rc = main(["verify", "--input", corpus_csv, "--epsilon", "20"])
         assert rc == 3
@@ -211,7 +211,7 @@ class TestVerify:
         def boom(*a, **kw):
             raise InvariantError("segment accounting is off")
 
-        monkeypatch.setattr("trajsimp.cli.compress_corpus", boom)
+        monkeypatch.setattr("trajsimp.harness.compress_corpus", boom)
         rc = main(["verify", "--input", corpus_csv, "--epsilon", "20"])
         assert rc == 3
         assert "invariant violated" in capsys.readouterr().err
@@ -384,6 +384,11 @@ def test_gen_refuses_an_empty_traj_id_and_writes_nothing(tmp_path, capsys):
         assert rc == 1
         assert capsys.readouterr().err == f"error: {msg}\n"
         assert not out.exists()
+
+
+def test_algo_choices_are_the_harness_algorithms():
+    # --algo's choices come from a tuple, so parsing needs no numpy.
+    assert _ALGOS == tuple(ALGORITHMS)
 
 
 def test_no_verb_exits_1(capsys):

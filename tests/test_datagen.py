@@ -12,10 +12,10 @@ from trajsimp.datagen import (
     gen_grid_route,
     gen_random_walk,
     gen_stepwise_adversarial,
-    optimal_segments,
-    stepwise_drift,
 )
 from trajsimp.geometry import Point
+
+from oracles import optimal_segments, stepwise_drift
 
 
 class TestSplitMix64:

@@ -17,6 +17,7 @@ from trajsimp.geometry import (
     project_equirectangular,
     rows_view,
 )
+from trajsimp.harness import ALGORITHMS
 from trajsimp.metrics import verify_error_bound
 from trajsimp.onepass import simplify
 
@@ -100,6 +101,17 @@ def test_a_memoryview_of_another_layout_is_refused(reader, layout):
     memoryview would give segments over reinterpreted bytes."""
     with pytest.raises(ValueError, match=r"C-contiguous \(n, 3\) memoryview"):
         VIEW_READERS[reader](WRONG_LAYOUTS[layout]())
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_an_empty_view_is_refused_as_an_empty_list_is(algo):
+    """A (0, 3) view has no rows to cast; it gets the list's ValueError."""
+    compress, cfg = ALGORITHMS[algo], FitConfig(zeta=2.0)
+    with pytest.raises(ValueError) as as_list:
+        compress([], cfg)
+    with pytest.raises(ValueError) as as_view:
+        compress(memoryview(np.empty((0, 3))), cfg)
+    assert str(as_view.value) == str(as_list.value)
 
 
 @pytest.mark.parametrize("reader", VIEW_READERS)

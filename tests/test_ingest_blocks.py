@@ -220,7 +220,31 @@ def test_blank_lines_over_whole_blocks_never_reach_loadtxt(tmp_path, small_block
     data = sep.join([HEADER, *rows(5), *[b""] * 300, *rows(5, lambda i: i + 10)]) + sep
     fast, slow = outcomes(write(tmp_path, data))
     assert isinstance(fast, list) and fast == slow
-    assert calls if sep == b"\n" else not calls  # a \r goes to the row loop
+    assert calls
+
+
+def test_a_crlf_corpus_takes_the_block_path(tmp_path, small_blocks, monkeypatch):
+    """Each \\r of a CRLF file, the header's included, opens a \\r\\n, so no
+    block reaches the row loop and the corpus is its LF twin's, byte for
+    byte; a lone \\r still goes to the row loop."""
+    loops = []
+    checked = tio._checked_rows
+
+    def spy(path, lines, *args):
+        lines = list(lines)
+        loops.append(any(lines))
+        return checked(path, lines, *args)
+
+    monkeypatch.setattr(tio, "_checked_rows", spy)
+    lines = [HEADER, *rows(30), b"", *rows(30, lambda i: i + 30, tid="b")]
+    lf, crlf = (write(tmp_path, sep.join(lines) + sep, name)
+                for sep, name in ((b"\n", "lf.csv"), (b"\r\n", "crlf.csv")))
+    corpus = [(tid, bytes(v)) for tid, v in tio.ingest_csv(crlf).items()]
+    assert corpus == [(tid, bytes(v)) for tid, v in tio.ingest_csv(lf).items()]
+    assert len(corpus) == 2 and loops == [False, False]
+    lone = write(tmp_path, b"\r\n".join(lines[:20]) + b"\r" + b"\r\n".join(lines[20:]))
+    fast, slow = outcomes(lone)
+    assert fast == slow and loops[-2] is True
 
 
 @pytest.mark.parametrize("length", [200, 131_073])
