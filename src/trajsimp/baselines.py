@@ -11,63 +11,42 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .fitting import check_zeta, coord_error, coord_limit
-from .geometry import Point, check_view, columns
+from .geometry import Point, as_array
 from .onepass import PiecewiseRepresentation, Segment
 
-Columns = Tuple[List[float], List[float], List[float]]
 
+def _xyt(traj: Sequence[Point], zeta: float) -> np.ndarray:
+    """traj as ``as_array``'s (n, 3) float64 array of x, y, t rows, once
+    zeta and traj pass the checks every baseline makes: at least one point
+    (a single point leaves every loop as one (p0, p0)), and each x and y
+    within the bound of ``coord_limit`` (NaN included), tested in one
+    numpy pass that refuses the first bad point with a DataError. t is
+    read as float64 and never checked.
 
-def _columns(traj: Sequence[Point], zeta: float) -> Columns:
-    """x, y and t of traj as lists; a single point leaves every loop as
-    one (p0, p0).
-
-    A point may be a Point, a plain (x, y, t) tuple or list, or a row of
-    a trajectory view; ``_finalize`` builds the segment ends as Points.
-    ``columns`` refuses a memoryview that is not a trajectory view before
-    any caller reads one in place; see ``_check_xy`` for the coordinate
-    check."""
+    A point may be a Point, a plain (x, y, t) tuple or list, or a row of a
+    trajectory view, which is read in place."""
     check_zeta(zeta)
-    cols = columns(traj)
-    if not cols[0]:
+    xyt = as_array(traj)
+    if not len(xyt):
         raise ValueError("need at least one point")
-    # A view's x and y are read in place; other input from its columns.
-    view = isinstance(traj, memoryview)
-    _check_xy(np.asarray(traj)[:, :2].T if view else np.array(cols[:2]), zeta)
-    return cols
-
-
-def _check_xy(xy: np.ndarray, zeta: float) -> None:
-    """Refuse the first point whose x or y, in the (2, n) array xy, is not
-    within the bound of ``coord_limit`` (NaN included) with a DataError,
-    in one numpy pass; t is never read."""
     lim = coord_limit(zeta)
-    ok = (np.abs(xy) < lim).all(axis=0)
+    ok = (np.abs(xyt[:, :2]) < lim).all(axis=1)
     if not ok.all():
         k = int(ok.argmin())
-        raise coord_error(k, xy[0, k], xy[1, k], lim)
+        raise coord_error(k, xyt[k, 0], xyt[k, 1], lim)
+    return xyt
 
 
-def _vertices(bounds: List[Tuple[int, int]]) -> List[int]:
-    """The indices of the chain's vertices: the first start, then each end."""
-    return [bounds[0][0], *(j for _, j in bounds)]
-
-
-def _rows(cols: Columns, bounds: List[Tuple[int, int]]) -> List[tuple]:
-    """The (x, y, t) of each of the chain's vertices, from the columns."""
-    xs, ys, ts = cols
-    return [(xs[k], ys[k], ts[k]) for k in _vertices(bounds)]
-
-
-def _finalize(rows: Sequence[Sequence[float]],
+def _finalize(xyt: np.ndarray,
               bounds: List[Tuple[int, int]]) -> PiecewiseRepresentation:
     """The segments over the chained (start, end) index pairs bounds, with
-    rows the (x, y, t) of the vertices ``_vertices(bounds)`` lists.
+    their vertices taken from the rows of xyt.
 
     Each end is one ``Point``, built in C, that is also the next segment's
     start object, as in the encoder's output, so ``emit_segments`` formats
     each shared vertex once."""
-    make = tuple.__new__  # make(Point, xyt) builds a Point in C
-    rows = iter(rows)
+    make = tuple.__new__  # make(Point, row) builds a Point in C
+    rows = iter(xyt[[bounds[0][0], *(j for _, j in bounds)]].tolist())
     start = make(Point, next(rows))
     segs = []
     for (i, j), row in zip(bounds, rows):
@@ -88,8 +67,9 @@ def dp_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     execution model. A chord of zero length (identical endpoints) falls
     back to radial distances from the shared point.
     """
-    cols = _columns(traj, zeta)
-    xs, ys, _ = cols
+    xyt = _xyt(traj, zeta)
+    xs = xyt[:, 0].tolist()
+    ys = xyt[:, 1].tolist()
     bounds: List[Tuple[int, int]] = []
     stack = [(0, len(xs) - 1)]
     while stack:
@@ -126,7 +106,7 @@ def dp_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
             continue
         stack.append((split, j))
         stack.append((i, split))
-    return _finalize(_rows(cols, bounds), bounds)
+    return _finalize(xyt, bounds)
 
 
 # Window ends opw_simplify tests per numpy pass, and the cap on ends x
@@ -156,9 +136,8 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     more than 2048 points, fewer ends go into a pass, so that one pass
     holds about 2**16 distances (512 kB) and memory stays linear in the
     window, as with one end per pass. The work stays quadratic in the
-    window length, as OPW's is by definition. A trajectory view is read
-    in place: its coordinates are checked there and each segment end is
-    taken from it, with no column lists built.
+    window length, as OPW's is by definition. The window reads x and y
+    as columns of ``_xyt``'s array, so a trajectory view is read in place.
 
     Every distance is the one the one-end-per-pass loop took (math.hypot
     chord length, |cross| / length, radial np.hypot for a zero-length
@@ -168,19 +147,9 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
     holding a zero-length chord divides the whole matrix and writes the
     radial rows before it reduces.
     """
-    if isinstance(traj, memoryview):
-        check_zeta(zeta)
-        check_view(traj)
-        xyt = np.asarray(traj)
-        if not len(xyt):
-            raise ValueError("need at least one point")
-        _check_xy(xyt[:, :2].T, zeta)
-        xs = xyt[:, 0]
-        ys = xyt[:, 1]
-    else:
-        cols = _columns(traj, zeta)
-        xs = np.array(cols[0], dtype=np.float64)
-        ys = np.array(cols[1], dtype=np.float64)
+    xyt = _xyt(traj, zeta)
+    xs = xyt[:, 0]
+    ys = xyt[:, 1]
     n = len(xs)
     bounds: List[Tuple[int, int]] = []
     s = 0
@@ -221,9 +190,7 @@ def opw_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation:
         s = end - 1
         k = end + 1
     bounds.append((s, n - 1))
-    if isinstance(traj, memoryview):
-        return _finalize(xyt[_vertices(bounds)].tolist(), bounds)
-    return _finalize(_rows(cols, bounds), bounds)
+    return _finalize(xyt, bounds)
 
 
 _HALF_PI = 0.5 * math.pi
@@ -474,8 +441,9 @@ def fbqs_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation
     when the extreme lies within the rounding band about zeta, as when a
     grid route puts a point exactly zeta off the line, so walks and grid
     routes clip next to nothing."""
-    cols = _columns(traj, zeta)
-    xs, ys, _ = cols
+    xyt = _xyt(traj, zeta)
+    xs = xyt[:, 0].tolist()
+    ys = xyt[:, 1].tolist()
     n = len(xs)
     bounds: List[Tuple[int, int]] = []
     s = 0
@@ -491,4 +459,4 @@ def fbqs_simplify(traj: Sequence[Point], zeta: float) -> PiecewiseRepresentation
             hull = HullState()
         hull.add(px - ax, py - ay)
     bounds.append((s, n - 1))
-    return _finalize(_rows(cols, bounds), bounds)
+    return _finalize(xyt, bounds)

@@ -231,7 +231,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # --output; ingest reports its own as DataError
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # A failed write or close, as on a full disk, names no file; only
+        # verify has no --output.
+        path = exc.filename
+        if path is None:
+            path = getattr(args, "output", None)
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -9,8 +9,8 @@ from importlib import resources
 from typing import List
 
 from .fitting import check_zeta
-from .geometry import Point
-from .io import ingest_csv
+from .geometry import Point, rows_view
+from .io import _checked_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -133,8 +133,14 @@ def gen_stepwise_adversarial(k: int, zeta: float = 1.0) -> List[Point]:
 
 def figure_fixture(name: str) -> List[Point]:
     """Committed reference routes: 'route' (15 points) and 'corner'
-    (9 points), stored as CSV next to the package."""
+    (9 points), stored as CSV next to the package.
+
+    Read by ingest's row loop, with all its checks, and not by its block
+    path, so that no numpy is loaded to write a figure."""
     if name not in ("route", "corner"):
         raise ValueError("name must be 'route' or 'corner'")
     path = resources.files("trajsimp").joinpath(f"data/figure_{name}.csv")
-    return [Point(*row) for row in ingest_csv(str(path))[name].tolist()]
+    bufs = {}
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        _checked_rows(str(path), fh, 0, None, bufs)
+    return [Point(*row) for row in rows_view(bufs[name]).tolist()]

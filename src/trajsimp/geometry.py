@@ -7,18 +7,19 @@ or lists) or, as ``ingest_csv`` returns it, a *trajectory view*: an
 ``(n, 3)`` float64 ``memoryview`` of x, y, t rows over one ``array("d")``,
 with ``len(view) == n``.  A view holds 24 bytes per row and no object per
 row; read it with ``view.tolist()``, ``np.asarray(view)`` (no copy) or
-``view[i, 0]``.  The readers below take either form, so each layer reads a
-trajectory in the form it needs: ``iter_points`` hands the encoder a view's
-rows as plain ``(x, y, t)`` tuples, and the encoder builds a ``Point`` only
-for a row that becomes a segment endpoint.
+``view[i, 0]``.  The three readers below take either form, so each layer
+reads a trajectory in the form it needs: ``iter_points`` hands the encoder
+a view's rows as plain ``(x, y, t)`` tuples, and the encoder builds a
+``Point`` only for a row that becomes a segment endpoint; ``columns`` gives
+x, y and t as three lists; ``as_array`` gives the numpy layers (the
+baselines, ``metrics`` and ``admits``) one ``(n, 3)`` float64 array.
 
-Every reader of a view (``iter_points``, ``columns``, ``admits`` here, the
-baselines and ``metrics``) first calls ``check_view``, which refuses a
-memoryview of any other layout (another format, shape or stride) with
-``ValueError`` rather than reinterpret its bytes as x, y, t rows.
-``admits`` tests a whole view at once, in numpy, against the encoder's
-per-point check, so the encoder can skip that check row by row; numpy is
-imported only there.
+Each reader first calls ``check_view``, which refuses a memoryview of any
+other layout (another format, shape or stride) with ``ValueError`` rather
+than reinterpret its bytes as x, y, t rows.  ``admits`` tests a whole view
+at once, in numpy, against the encoder's per-point check, so the encoder
+can skip that check row by row.  numpy is imported only inside
+``as_array`` and ``admits``, so the streaming path runs without it.
 """
 
 import math
@@ -76,8 +77,7 @@ def admits(view: memoryview, lim: float) -> bool:
     to check."""
     import numpy as np
 
-    check_view(view)
-    xyt = np.asarray(view)
+    xyt = as_array(view)
     t = xyt[:, 2]
     return bool(
         t[-1] < math.inf
@@ -107,6 +107,17 @@ def columns(traj: Sequence[Point]) -> Tuple[List[float], List[float], List[float
         return flat[0::3].tolist(), flat[1::3].tolist(), flat[2::3].tolist()
     pts = list(traj)
     return [p[0] for p in pts], [p[1] for p in pts], [p[2] for p in pts]
+
+
+def as_array(traj: Sequence[Point]):
+    """traj as an (n, 3) float64 numpy array of x, y, t rows: a trajectory
+    view read in place, any other sequence copied from ``columns``."""
+    import numpy as np
+
+    if isinstance(traj, memoryview):
+        check_view(traj)
+        return np.asarray(traj)
+    return np.array(columns(traj), dtype=np.float64).T
 
 
 def norm_angle(theta: float) -> float:

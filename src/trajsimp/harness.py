@@ -35,7 +35,7 @@ class RunConfig:
 
     input: str
     output: Optional[str] = None
-    algorithms: Tuple[str, ...] = ("dp", "opw", "fbqs", "operb", "operb-a")
+    algorithms: Tuple[str, ...] = tuple(ALGORITHMS)
     zeta_list: Tuple[float, ...] = (5.0, 20.0, 40.0, 100.0)
     gamma_m: float = pi / 3.0
     opts: Tuple[bool, bool, bool, bool, bool] = (True,) * 5

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .fitting import check_zeta
-from .geometry import Point, check_view
+from .geometry import Point, as_array
 from .onepass import PiecewiseRepresentation
 
 BOUND_SLACK = 1e-9
@@ -55,7 +55,7 @@ def _segment_distances(
     on both lines, so the choice does not affect any metric.  Raises
     InvariantError when the covered counts do not add up to len(traj), and
     ValueError for a memoryview that is not a trajectory view."""
-    check_view(traj)
+    xyt = as_array(traj)  # a trajectory view is read in place
     # One Python pass over the segments walks the covered counts and gathers
     # their line parameters; the rest is whole-array numpy.  The length
     # comes from math.hypot because np.hypot can differ from it in the last
@@ -80,15 +80,13 @@ def _segment_distances(
             dy *= 2.0 ** 1000
             length = math.hypot(dx, dy)
         table += (fresh, start.x, start.y, dx, dy, length)
-    if idx != len(traj):
+    if idx != len(xyt):
         raise InvariantError(
-            f"covered counts consume {idx} points, input has {len(traj)}"
+            f"covered counts consume {idx} points, input has {len(xyt)}"
         )
     cols = np.array(table, dtype=np.float64).reshape(-1, 6)
     counts = cols[:, 0].astype(np.intp)
     sx, sy, dx, dy, length = (np.repeat(cols[:, k], counts) for k in range(1, 6))
-    # A trajectory view is read in place, without a copy.
-    xyt = np.asarray(traj, dtype=np.float64).reshape(-1, 3)
     px = xyt[:, 0] - sx
     py = xyt[:, 1] - sy
     out = np.abs(dx * py - dy * px)

@@ -2,6 +2,8 @@
 
 import math
 import random
+from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from trajsimp.baselines import HullState, dp_simplify, fbqs_simplify, opw_simpli
 from trajsimp.datagen import gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
 from trajsimp.fitting import FitConfig
-from trajsimp.geometry import Point
+from trajsimp.geometry import Point, rows_view
 from trajsimp.metrics import verify_error_bound
 from trajsimp.onepass import Segment, simplify as encode
 
@@ -97,6 +99,35 @@ class TestCommonContract:
         assert rep.segments[0].start == traj[0]
         assert rep.segments[-1].end == traj[-1]
         assert sum(s.covered for s in rep.segments) == len(traj) + len(rep) - 1
+
+
+def parked_walk(n, seed, every, stay):
+    """A walk that holds every ``every``-th position for ``stay`` more
+    samples, so some chords have zero length."""
+    spots = [p[:2] for i, p in enumerate(gen_random_walk(n, seed))
+             for _ in range(1 + (stay if i % every == 0 else 0))]
+    return [P(x, y, float(t)) for t, (x, y) in enumerate(spots)]
+
+
+BASELINES = {"dp": dp_simplify, "opw": opw_simplify, "fbqs": fbqs_simplify}
+
+
+@given(
+    st.one_of(
+        trajs(400),
+        st.builds(parked_walk, st.integers(1, 200), st.integers(0, 2**32),
+                  st.integers(1, 30), st.integers(1, 8)),
+    ),
+    st.sampled_from(sorted(BASELINES)),
+    st.sampled_from((2.0, 10.0, 40.0)),
+)
+def test_points_tuples_and_views_give_the_same_segments(traj, algo, zeta):
+    """A list of Points, the same rows as plain tuples and their trajectory
+    view are one float64 array to every baseline."""
+    simplify = BASELINES[algo]
+    rep = simplify(traj, zeta)
+    assert simplify([tuple(p) for p in traj], zeta) == rep
+    assert simplify(rows_view(array("d", chain.from_iterable(traj))), zeta) == rep
 
 
 class TestDp:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import pytest
 
@@ -361,6 +362,14 @@ def test_unwritable_output_exits_1_naming_the_path(verb, corpus_csv, tmp_path, c
     err = capsys.readouterr().err
     assert err == f"error: {out}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("verb", ["gen", "compress", "compare"])
+def test_a_full_device_exits_1_naming_the_output(verb, corpus_csv, capsys):
+    """A write or close that fails names no file; the error names --output."""
+    assert main(_argv(verb, corpus_csv) + ["--output", "/dev/full"]) == 1
+    assert capsys.readouterr().err == "error: /dev/full: No space left on device\n"
 
 
 def test_output_that_is_a_directory_exits_1(corpus_csv, tmp_path, capsys, monkeypatch):

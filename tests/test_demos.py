@@ -87,7 +87,8 @@ def test_streaming_loads_the_core_alone(tmp_path):
     assert loaded(STREAM, tmp_path) == CORE
 
 
-@pytest.mark.parametrize("kind", ["random-walk", "grid-route", "stepwise"])
+@pytest.mark.parametrize("kind", ["random-walk", "grid-route", "stepwise",
+                                  "figure-route", "figure-corner"])
 def test_gen_loads_no_numpy(tmp_path, kind):
     mods = loaded(GEN.format(kind=kind), tmp_path)
     assert "numpy" not in mods and "trajsimp.harness" not in mods

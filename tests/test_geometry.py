@@ -18,7 +18,7 @@ from trajsimp.geometry import (
     rows_view,
 )
 from trajsimp.harness import ALGORITHMS
-from trajsimp.metrics import verify_error_bound
+from trajsimp.metrics import compute_stats, verify_error_bound
 from trajsimp.onepass import simplify
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -83,6 +83,8 @@ VIEW_READERS = {
     "fbqs": lambda traj: fbqs_simplify(traj, 2.0),
     "verify": lambda traj: verify_error_bound(simplify(ROWS, FitConfig(zeta=2.0)),
                                               traj, 2.0),
+    "stats": lambda traj: compute_stats([simplify(ROWS, FitConfig(zeta=2.0))],
+                                        [traj]),
 }
 
 # Memoryviews over ROWS's values, or as many, in another layout.
