@@ -117,10 +117,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(text: str) -> None:
+    """Print text to standard output. A failed write, as on a full disk,
+    raises an OSError that names standard output rather than no file."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, "standard output") from exc
+
+
 def _cmd_gen(args) -> int:
     pts = _KINDS[args.kind](args)
     rows = write_corpus({args.traj_id: pts}, args.output)
-    print(f"wrote {rows} points to {args.output}")
+    _say(f"wrote {rows} points to {args.output}")
     return 0
 
 
@@ -166,7 +175,7 @@ def _cmd_compress(args) -> int:
     corpus, reps = _ingest_and_compress(args)
     rows = emit_segments(reps.values(), args.output)
     stats = compute_stats(list(reps.values()), list(corpus.values()))
-    print(
+    _say(
         f"{args.algo}: {len(corpus)} trajectories, {stats.input_points} points "
         f"-> {rows} segments (ratio {stats.ratio:.5f}) in {args.output}"
     )
@@ -184,9 +193,9 @@ def _cmd_compare(args) -> int:
     if args.output:
         _check_output(args.output)
     report = run_compare(_run_config(args, zetas, output=args.output))
-    print(format_report(report))
+    _say(format_report(report))
     if args.output:
-        print(f"report written to {args.output}")
+        _say(f"report written to {args.output}")
     return 0
 
 
@@ -209,7 +218,7 @@ def _cmd_verify(args) -> int:
         print(f"FAIL: {bad_total} points exceed the bound", file=sys.stderr)
         return 3
     total = sum(len(p) for p in corpus.values())
-    print(f"ok: all {total} points within {args.epsilon:g} ({args.algo})")
+    _say(f"ok: all {total} points within {args.epsilon:g} ({args.algo})")
     return 0
 
 
@@ -230,9 +239,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # --output; ingest reports its own as DataError
-        # A failed write or close, as on a full disk, names no file; only
-        # verify has no --output.
+    except OSError as exc:  # ingest reports its own as DataError
+        # A failed write or close of --output, as on a full disk, names no
+        # file; _say names standard output in its own.
         path = exc.filename
         if path is None:
             path = getattr(args, "output", None)

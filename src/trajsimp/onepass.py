@@ -11,9 +11,10 @@ local ``dispatch`` is the only route out for a finished segment.
 Patching mode (``Mode.OPERB_A``) holds a closed two-point segment back in
 that buffer until its successor closes, then tries to replace the pair
 (predecessor, corner segment) with (predecessor extended to the line
-intersection G, successor re-anchored at G); ``try_patch`` finds G. Both
-replacement segments lie on the original lines, so the error bound is
-untouched while one segment is saved.
+intersection G, successor re-anchored at G); ``try_patch`` finds G. The
+patch moves the predecessor's end and the successor's start to G in place,
+before either segment is handed out. Both replacement segments lie on the
+original lines, so the error bound is untouched while one segment is saved.
 """
 
 import enum
@@ -150,8 +151,9 @@ def try_patch(
     if not ok_turn:
         return None
     # Halved first, so the sum of two timestamps near the float range
-    # cannot overflow.
-    return Point(gx, gy, 0.5 * anom.start.t + 0.5 * anom.end.t)
+    # cannot overflow. tuple.__new__ builds the Point in C.
+    gt = 0.5 * anom.start.t + 0.5 * anom.end.t
+    return tuple.__new__(Point, (gx, gy, gt))
 
 
 class OperbEncoder:
@@ -224,7 +226,6 @@ class OperbEncoder:
         ceil = math.ceil
         norm = norm_angle
         two_pi = TWO_PI
-        line = _line
         point = Point
         make = tuple.__new__  # make(point, xyt) builds a Point in C
 
@@ -259,7 +260,8 @@ class OperbEncoder:
         def dispatch(seg):
             """The only route out for a segment whose covered count is
             final: straight to out in plain mode, through the lazy buffer
-            in patching mode."""
+            in patching mode. A patch moves the held predecessor's end and
+            seg's start to G in place, before either one is handed out."""
             nonlocal prev, anom
             if seg.covered == 2:
                 self.n_anomalous += 1
@@ -272,9 +274,12 @@ class OperbEncoder:
                     out.append(anom)
                     prev = seg
                 else:
-                    out.append(Segment(prev.start, g, prev.covered, prev.patched_start))
+                    prev.end = g
+                    out.append(prev)
                     self.n_patched += 1
-                    prev = Segment(g, seg.end, seg.covered, True)
+                    seg.start = g
+                    seg.patched_start = True
+                    prev = seg
                 anom = None
             elif seg.covered == 2 and prev is not None:
                 anom = seg
@@ -343,6 +348,7 @@ class OperbEncoder:
                         if r_len <= thr0:
                             cnt += 1
                             break
+                        fits = True
                     else:
                         d_signed = dx * fsin - dy * fcos
                         d = -d_signed if d_signed < 0.0 else d_signed
@@ -373,7 +379,7 @@ class OperbEncoder:
                                 dminus = minus
                                 break
                             fits = False
-                    if flen == 0.0 or fits:
+                    if fits:
                         # p is active. Its zone j: radius in
                         # ((j - 1/2)*zeta/2, (j + 1/2)*zeta/2], values less
                         # than 1e-12 above an integer snapped down so
@@ -422,11 +428,13 @@ class OperbEncoder:
                         flen = jl
                         racos = dx * inv
                         rasin = dy * inv
-                        tp = type(p)
-                        if tp is not point and tp is not tuple:
-                            # A list or another triple the caller may
-                            # change later: keep a copy.
-                            p = point(px, py, pt)
+                        # An admitted view's rows are fresh tuples; a
+                        # checked row may be a list or another triple the
+                        # caller can change later: keep a copy.
+                        if checked:
+                            tp = type(p)
+                            if tp is not point and tp is not tuple:
+                                p = point(px, py, pt)
                         la = p
                         lak = k
                         lz = j
@@ -442,7 +450,14 @@ class OperbEncoder:
                         ab = seg
                         ab_x = ax
                         ab_y = ay
-                        _, _, ab_cos, ab_sin = line(anchor, la)
+                        # cos and sin of the folded bearing of anchor->la,
+                        # as _line takes them; la is more than thr0 from
+                        # the anchor, so no zero-vector rule.
+                        ab_th = atan2(la.y - ay, la.x - ax)
+                        if ab_th < 0.0:
+                            ab_th = norm(ab_th)
+                        ab_cos = cos(ab_th)
+                        ab_sin = sin(ab_th)
                     else:
                         dispatch(seg)
                     anchor = la

@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,8 @@ from trajsimp.datagen import (
 )
 from trajsimp.harness import ALGORITHMS
 from trajsimp.io import OUTPUT_COLUMNS, write_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -370,6 +375,26 @@ def test_a_full_device_exits_1_naming_the_output(verb, corpus_csv, capsys):
     """A write or close that fails names no file; the error names --output."""
     assert main(_argv(verb, corpus_csv) + ["--output", "/dev/full"]) == 1
     assert capsys.readouterr().err == "error: /dev/full: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_standard_output_exits_1_naming_it(tmp_path):
+    """A failed write to standard output is named as such, not as --output
+    (which gen has written) and not as None (verify has no --output)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run(*argv):
+        with open("/dev/full", "w") as full:
+            return subprocess.run([sys.executable, "-m", "trajsimp.cli", *argv],
+                                  env=env, cwd=tmp_path, stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+
+    gen = run("gen", "--kind", "random-walk", "--n", "20", "--output", "g.csv")
+    verify = run("verify", "--input", "g.csv", "--epsilon", "5")
+    for proc in (gen, verify):
+        assert proc.returncode == 1
+        assert proc.stderr == "error: standard output: No space left on device\n"
+    assert len((tmp_path / "g.csv").read_text().splitlines()) == 21
 
 
 def test_output_that_is_a_directory_exits_1(corpus_csv, tmp_path, capsys, monkeypatch):

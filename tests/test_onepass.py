@@ -554,7 +554,6 @@ def test_generator_input_streams_through_push():
     assert via_list.anomalous_candidates == via_iter.anomalous_candidates
 
 
-@settings(max_examples=60)
 @given(
     traj_strategy(),
     opt_combos(),
@@ -562,24 +561,31 @@ def test_generator_input_streams_through_push():
     st.sampled_from((Mode.OPERB, Mode.OPERB_A)),
     st.sampled_from((0.0, math.pi / 3, math.pi)),
 )
+# A grid route that patches all 8 of its anomalous segments.
+@example(gen_grid_route(120, 2), (True,) * 5, 2.0, Mode.OPERB_A, math.pi / 3)
 def test_push_loop_equals_batch_loop(traj, opts, zeta, mode, gamma_m):
     """The fused batch loop must be indistinguishable from push(), down to
     a zeta that closes a segment every two points or so, and at both ends
-    of the gamma_m range."""
+    of the gamma_m range: on a list of Points, and on a trajectory view of
+    the same rows, which is admitted and so skips the per-point check."""
     o1, o2, o3, o4, o5 = opts
     cfg = FitConfig(
         zeta=zeta, gamma_m=gamma_m,
         opt1=o1, opt2=o2, opt3=o3, opt4=o4, opt5=o5,
     )
     batch = simplify(traj, cfg, mode)
+    view = rows_view(array("d", [float(v) for p in traj for v in p]))
+    assert admits(view, coord_limit(zeta))
+    via_view = simplify(view, cfg, mode)
     enc = OperbEncoder(cfg, mode, traj[0])
     segs = []
     for p in traj[1:]:
         segs.extend(enc.push(p))
     segs.extend(enc.finish())
-    assert batch.segments == segs
-    assert batch.anomalous_candidates == enc.n_anomalous
-    assert batch.patches == enc.n_patched
+    for rep in (batch, via_view):
+        assert rep.segments == segs
+        assert rep.anomalous_candidates == enc.n_anomalous
+        assert rep.patches == enc.n_patched
     ok, violations = verify_error_bound(batch, traj, zeta)
     assert ok, violations
 
