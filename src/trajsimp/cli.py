@@ -57,6 +57,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write, so help sent to a full disk would
+        # exit 0 having printed nothing; on standard output, raise it.
+        if file is sys.stdout:
+            _say(message, end="")
+        else:
+            super()._print_message(message, file)
+
 
 def _parse_opts(text: str) -> tuple:
     if len(text) != 5 or any(c not in "01" for c in text):
@@ -117,11 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _say(text: str) -> None:
+def _say(text: str, end: str = "\n") -> None:
     """Print text to standard output. A failed write, as on a full disk,
     raises an OSError that names standard output rather than no file."""
     try:
-        print(text, flush=True)
+        print(text, end=end, flush=True)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, "standard output") from exc
 
@@ -228,6 +236,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:  # help or usage that _say could not write
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except DataError as exc:

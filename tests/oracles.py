@@ -1,5 +1,6 @@
 """Test-only oracles: the exact segment-count floor, the stepwise
-spiral's closed-form drift and the vertices of an FBQS hull.
+spiral's closed-form drift, the vertices of an FBQS hull and the scalar
+Douglas-Peucker split.
 
 They serve the tests alone, so the package does not carry them: the
 floor is O(n^2) and needs numpy, which the streaming path does not load.
@@ -20,6 +21,54 @@ def hull_vertices(hull: HullState) -> List[Tuple[float, float]]:
     quadrant, clipped through ``HullState._clipped`` as ``exceeds`` clips
     them."""
     return [v for box in hull.quads.values() for v in HullState._clipped(box)]
+
+
+def reference_split(pts: Sequence[Point], zeta: float) -> List[Tuple[int, int]]:
+    """The (start, end) index pairs of Douglas-Peucker on pts, in order:
+    split a span at its farthest interior point by |cross| with the chord
+    (first index on ties) until every span is within zeta * length, or,
+    for a zero-length chord, every interior point is within zeta of the
+    shared end. A plain scalar loop over each span, one span at a time
+    from an explicit stack, so spans of thousands of points do not reach
+    the recursion limit. pts may hold Points or plain (x, y, t) tuples."""
+    xs = [float(p[0]) for p in pts]
+    ys = [float(p[1]) for p in pts]
+    out = []
+    todo = [(0, len(pts) - 1)]
+    while todo:
+        lo, hi = todo.pop()
+        if hi - lo < 2:
+            out.append((lo, hi))
+            continue
+        xi, yi = xs[lo], ys[lo]
+        dx = xs[hi] - xi
+        dy = ys[hi] - yi
+        length = math.hypot(dx, dy)
+        best = -1.0
+        split = lo
+        if length == 0.0:
+            for k in range(lo + 1, hi):
+                c = math.hypot(xs[k] - xi, ys[k] - yi)
+                if c > best:
+                    best = c
+                    split = k
+            limit = zeta
+        else:
+            for k in range(lo + 1, hi):
+                c = dx * (ys[k] - yi) - dy * (xs[k] - xi)
+                if c < 0.0:
+                    c = -c
+                if c > best:
+                    best = c
+                    split = k
+            limit = zeta * length
+        if best <= limit:
+            out.append((lo, hi))
+            continue
+        # The left half first, as the recursion visits it.
+        todo.append((split, hi))
+        todo.append((lo, split))
+    return out
 
 
 def stepwise_drift(k: int) -> float:

@@ -26,7 +26,7 @@ from trajsimp.fitting import FitConfig
 from trajsimp.metrics import compute_stats, verify_error_bound
 from trajsimp.onepass import Mode, OperbEncoder, simplify
 
-from oracles import optimal_segments
+from oracles import optimal_segments, reference_split
 
 ZETAS = (5.0, 20.0, 40.0, 100.0)
 
@@ -128,41 +128,6 @@ def test_criterion_03_angle_drift_bound():
     assert time.perf_counter() - start < 10.0
 
 
-def _reference_split(pts, zeta, lo, hi, out):
-    """Plain recursion mirroring the split predicate: farthest interior
-    point by |cross|, first index on ties, emit when within zeta*length."""
-    if hi - lo < 2:
-        out.append((lo, hi))
-        return
-    xi, yi = pts[lo].x, pts[lo].y
-    dx = pts[hi].x - xi
-    dy = pts[hi].y - yi
-    length = math.hypot(dx, dy)
-    best = -1.0
-    split = lo
-    if length == 0.0:
-        for k in range(lo + 1, hi):
-            c = math.hypot(pts[k].x - xi, pts[k].y - yi)
-            if c > best:
-                best = c
-                split = k
-        limit = zeta
-    else:
-        for k in range(lo + 1, hi):
-            c = dx * (pts[k].y - yi) - dy * (pts[k].x - xi)
-            if c < 0.0:
-                c = -c
-            if c > best:
-                best = c
-                split = k
-        limit = zeta * length
-    if best <= limit:
-        out.append((lo, hi))
-        return
-    _reference_split(pts, zeta, lo, split, out)
-    _reference_split(pts, zeta, split, hi, out)
-
-
 def test_criterion_04_dp_reference_match():
     """dp_simplify equals the recursive reference: same bounds, same points."""
     zetas = (0.5, 2.0, 5.0, 20.0)
@@ -172,8 +137,7 @@ def test_criterion_04_dp_reference_match():
         gen = gen_random_walk if seed % 2 == 0 else gen_grid_route
         traj = gen(n, seed)
         zeta = zetas[seed % 4]
-        expected: list = []
-        _reference_split(traj, zeta, 0, n - 1, expected)
+        expected = reference_split(traj, zeta)
         rep = dp_simplify(traj, zeta)
         got = []
         pos = 0

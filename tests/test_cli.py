@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from trajsimp.cli import _ALGOS, _KINDS, _parse_opts, main
+from trajsimp.cli import _ALGOS, _KINDS, _parse_opts, build_parser, main
 from trajsimp.datagen import (
     figure_fixture,
     gen_grid_route,
@@ -377,24 +377,35 @@ def test_a_full_device_exits_1_naming_the_output(verb, corpus_csv, capsys):
     assert capsys.readouterr().err == "error: /dev/full: No space left on device\n"
 
 
+def _run_to_full(cwd, *argv):
+    """Run the CLI in a child process whose standard output is /dev/full."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open("/dev/full", "w") as full:
+        return subprocess.run([sys.executable, "-m", "trajsimp.cli", *argv],
+                              env=env, cwd=cwd, stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_a_full_standard_output_exits_1_naming_it(tmp_path):
     """A failed write to standard output is named as such, not as --output
     (which gen has written) and not as None (verify has no --output)."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-
-    def run(*argv):
-        with open("/dev/full", "w") as full:
-            return subprocess.run([sys.executable, "-m", "trajsimp.cli", *argv],
-                                  env=env, cwd=tmp_path, stdout=full,
-                                  stderr=subprocess.PIPE, text=True, timeout=60)
-
-    gen = run("gen", "--kind", "random-walk", "--n", "20", "--output", "g.csv")
-    verify = run("verify", "--input", "g.csv", "--epsilon", "5")
+    gen = _run_to_full(tmp_path, "gen", "--kind", "random-walk", "--n", "20",
+                       "--output", "g.csv")
+    verify = _run_to_full(tmp_path, "verify", "--input", "g.csv", "--epsilon", "5")
     for proc in (gen, verify):
         assert proc.returncode == 1
         assert proc.stderr == "error: standard output: No space left on device\n"
     assert len((tmp_path / "g.csv").read_text().splitlines()) == 21
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["compare", "-h"]], ids=["tool", "verb"])
+def test_help_to_a_full_standard_output_exits_1_naming_it(argv, tmp_path):
+    """argparse drops a failed write of help; the tool reports it."""
+    proc = _run_to_full(tmp_path, *argv)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: standard output: No space left on device\n"
 
 
 def test_output_that_is_a_directory_exits_1(corpus_csv, tmp_path, capsys, monkeypatch):
@@ -433,3 +444,12 @@ def test_no_verb_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+def test_help_and_usage_are_argparse_text(capsys):
+    """Help and usage reach standard output as argparse formats them."""
+    parser = build_parser()
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == parser.format_help()
+    parser.print_usage()
+    assert capsys.readouterr().out == parser.format_usage()

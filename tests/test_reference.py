@@ -27,17 +27,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trajsimp import baselines
-from trajsimp.baselines import HullState, fbqs_simplify, opw_simplify
+from trajsimp.baselines import HullState, dp_simplify, fbqs_simplify, opw_simplify
 from trajsimp.datagen import gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError, InvariantError
-from trajsimp.fitting import FitConfig
+from trajsimp.fitting import FitConfig, coord_limit
 from trajsimp.geometry import Point, rows_view
 from trajsimp.harness import ALGORITHMS
 from trajsimp.io import INPUT_COLUMNS, ingest_csv
 from trajsimp.metrics import _segment_distances
 from trajsimp.onepass import PiecewiseRepresentation, Segment
 
-from oracles import hull_vertices
+from oracles import hull_vertices, reference_split
 
 # -- references --------------------------------------------------------------
 
@@ -616,6 +616,158 @@ def test_distance_errors_match_the_loop(segs, n, msg):
     for fn in (fast_distances, reference_distances):
         with pytest.raises(InvariantError, match=re.escape(msg)):
             fn(traj, rep)
+
+
+# -- Douglas-Peucker ----------------------------------------------------------
+
+SPAN = baselines._DP_SPAN
+
+
+def reference_dp(traj, zeta):
+    """Douglas-Peucker through the scalar split of ``oracles``."""
+    pts = as_points(traj)
+    return reference_rep(pts, reference_split(pts, zeta))
+
+
+def looped(traj):
+    """traj, then back along itself to its start: the whole trajectory is
+    one span over a zero-length chord."""
+    t = traj[-1].t
+    return list(traj) + [Point(p.x, p.y, t + k) for k, p in enumerate(traj[-2::-1], 1)]
+
+
+def far(traj, at, sign):
+    """traj with point at moved to x = sign times the largest coordinate
+    the baselines accept, one ulp inside ``coord_limit``."""
+    x = sign * math.nextafter(coord_limit(1.0), 0.0)
+    return [Point(x, p.y, p.t) if k == at else p for k, p in enumerate(traj)]
+
+
+def as_tuples(traj):
+    return [tuple(p) for p in traj]
+
+
+def top_bound(traj):
+    """The least zeta at which the span over all of traj fits its chord,
+    by the split's own |cross| <= zeta * length; None for a zero-length
+    chord or when every point lies on the chord."""
+    (x0, y0, _), (x1, y1, _) = traj[0], traj[-1]
+    dx = x1 - x0
+    dy = y1 - y0
+    length = math.hypot(dx, dy)
+    best = max(abs(dx * (p.y - y0) - dy * (p.x - x0)) for p in traj[1:-1])
+    if length == 0.0 or best == 0.0:
+        return None
+    zeta = best / length
+    while zeta * length < best:
+        zeta = math.nextafter(zeta, math.inf)
+    while math.nextafter(zeta, 0.0) * length >= best:
+        zeta = math.nextafter(zeta, 0.0)
+    return zeta
+
+
+# A small span constant stands in for the real one on shorter input: most
+# cases then take numpy passes at every depth of the split.
+SPANS = [SPAN, 16]
+DP_KINDS = {"walk": gen_random_walk, "grid": gen_grid_route}
+DP_FORMS = {"points": list, "tuples": as_tuples, "view": as_view}
+
+
+def dp_case(kind, n, seed, shape=None, off=0.0, far_at=None, zeta=10.0,
+            form="points"):
+    """(traj, zeta) for the recipe: a walk or grid route of n points,
+    perhaps parked for stretches, ("parked", every, stay), or run back to
+    its start, ("looped",) (long spans over zero-length chords); moved off
+    from the origin; with the coordinate far_at, (index, sign), one ulp
+    inside ``coord_limit``; at zeta, or, for ("bound", below), on the
+    first span's bound or one ulp below it; as Points, tuples or a view.
+    A recipe rather than its thousands of points is what a failing case
+    shows."""
+    traj = DP_KINDS[kind](n, seed, step=20.0)
+    if shape and shape[0] == "parked":
+        traj = parked(traj, *shape[1:])
+    elif shape:
+        traj = looped(traj[: n // 2 + 1])
+    traj = shifted(traj, off)
+    if far_at:
+        traj = far(traj, far_at[0] % len(traj), far_at[1])
+    if isinstance(zeta, tuple):
+        # Where |cross| rounded in another order would decide the other way.
+        below = zeta[1]
+        zeta = top_bound(traj) or 10.0
+        if below:
+            zeta = math.nextafter(zeta, 0.0)
+    return DP_FORMS[form](traj), zeta
+
+
+@st.composite
+def dp_recipes(draw):
+    """A span constant and the recipe of a trajectory of more than four
+    times as many points; a third of an offset leaves the coordinates
+    inexact, which grid routes' exact ties then show, and zeta runs from
+    1e-6 to 1e6 of the 20-unit step."""
+    span = draw(st.sampled_from(SPANS))
+    shape = draw(st.sampled_from([None, "parked", ("looped",)]))
+    if shape == "parked":
+        shape = ("parked", draw(st.integers(span, 3 * span)), draw(st.integers(1, span + 8)))
+    return span, dict(
+        kind=draw(st.sampled_from(sorted(DP_KINDS))),
+        n=draw(st.integers(4 * span + 1, 5 * span)),
+        seed=draw(st.integers(0, 2**32)),
+        shape=shape,
+        off=draw(st.sampled_from([0.0, 1e4 / 3, 1e7, -1e7 / 3])),
+        far_at=draw(st.none() | st.tuples(st.integers(0, 2**16), st.sampled_from([1, -1]))),
+        zeta=draw(st.sampled_from([2e-5, 0.5, 10.0, 40.0, 100.0, 2e7])
+                  | st.tuples(st.just("bound"), st.booleans())),
+        form=draw(st.sampled_from(sorted(DP_FORMS))),
+    )
+
+
+@given(dp_recipes())
+# Exact ties in |cross| (the first index must win), at zeta on them.
+@example((SPAN, dict(kind="grid", n=5 * SPAN, seed=3, zeta=40.0)))
+@example((SPAN, dict(kind="grid", n=5 * SPAN, seed=7, off=1e7 / 3, form="tuples")))
+@example((SPAN, dict(kind="walk", n=5 * SPAN, seed=5, shape=("looped",), zeta=40.0)))
+@example((SPAN, dict(kind="walk", n=4 * SPAN, seed=9, shape=("parked", SPAN, SPAN + 8),
+                     form="view")))
+@example((SPAN, dict(kind="walk", n=5 * SPAN, seed=11, far_at=(2 * SPAN, -1), zeta=100.0)))
+@example((SPAN, dict(kind="walk", n=5 * SPAN, seed=13, off=1e7, zeta=2e-5)))
+@example((SPAN, dict(kind="walk", n=5 * SPAN, seed=13, off=1e7, zeta=("bound", False))))
+@example((SPAN, dict(kind="walk", n=5 * SPAN, seed=13, off=1e7, zeta=("bound", True))))
+def test_dp_matches_its_scalar_recursion(recipe):
+    span, how = recipe
+    traj, zeta = dp_case(**how)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_DP_SPAN", span)
+        assert dp_simplify(traj, zeta) == reference_dp(traj, zeta)
+
+
+def test_dp_measures_long_spans_in_numpy_and_short_ones_in_its_loop(monkeypatch):
+    """dp_simplify passes a span of more than SPAN interior points over a
+    chord to numpy, as one array of |cross| values; a span of SPAN and a
+    zero-length chord of any length stay in the loop. Lines within zeta
+    end the split at the first span."""
+    passes = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def abs(a, out=None):
+            if np.ndim(a) == 1:  # not the coordinate check's (n, 2) array
+                passes.append(len(a))
+            return np.abs(a, out=out)
+
+    monkeypatch.setattr(baselines, "np", Counting())
+    for n, expected in ((SPAN + 2, []), (SPAN + 3, [SPAN + 1])):
+        line = straight(n, 1.0, 0)
+        assert len(dp_simplify(line, 1.0)) == 1
+        assert passes == expected
+        passes.clear()
+    loop = looped(straight(2 * SPAN, 1.0, 0))
+    assert dp_simplify(loop, 1e6) == reference_dp(loop, 1e6)
+    assert passes == []
 
 
 # -- ingest ------------------------------------------------------------------
