@@ -16,7 +16,12 @@ The five toggles on ``FitConfig``:
         per-point d <= zeta/2
   opt3  the re-fit angle uses the applicable signed extreme instead of the
         current deviation, capped so the step never exceeds what the raw
-        deviation would allow at full weight
+        deviation would allow at full weight: at jl*sin(j*asin(d/jl)) for
+        zone j of length jl. As asin(u) >= u and sin(a) >= 2a/pi on
+        [0, pi/2], the cap is at least min(jl, (2/pi)*j*d), so the kernel
+        takes an extreme below jl and 0.6366*j*d, and a deviation of 0 as
+        it is, without asin and sin; the bits are those of the full cap
+        while d/jl stays a normal float
   opt4  the re-fit angle is scaled by the number of zones skipped since the
         last active point
   opt5  consumed by the encoder (absorb points into a just-closed segment);

@@ -98,7 +98,11 @@ def _line(a: Point, b: Point) -> Tuple[float, float, float, float]:
     # atan2(0.0, -0.0) is pi, hence the zero-vector rule.
     theta = 0.0 if dx == 0.0 and dy == 0.0 else math.atan2(dy, dx)
     if theta < 0.0:
-        theta = norm_angle(theta)
+        # atan2 lies in [-pi, pi], so one turn folds it; a tiny negative
+        # bearing rounds up to 2*pi itself and folds to 0.
+        theta += TWO_PI
+        if theta >= TWO_PI:
+            theta = 0.0
     return math.hypot(dx, dy), theta, math.cos(theta), math.sin(theta)
 
 
@@ -223,6 +227,12 @@ class OperbEncoder:
         # Coordinates past lim would overflow the fit's arithmetic.
         lim = coord_limit(zeta)
         nlim = -lim
+        # The stretch's bound rule (below): just under 2/pi, and the least
+        # deviation it takes. Two input points lie less than 2*sqrt(2)*lim
+        # apart, so a zone length jl is below 3*lim + zeta, and d >= dmin
+        # keeps d/jl at 2**-1000 or more, far inside the normal range.
+        jordan = 0.6366
+        dmin = 2.0 ** -1000 * (3.0 * lim + zeta)
         ceil = math.ceil
         norm = norm_angle
         two_pi = TWO_PI
@@ -395,10 +405,12 @@ class OperbEncoder:
                         inv = 1.0 / r_len
                         if flen == 0.0:
                             # First active point: L snaps to the radial
-                            # bearing.
+                            # bearing, folded as _line folds it.
                             fth = atan2(dy, dx)
                             if fth < 0.0:
-                                fth = norm(fth)
+                                fth += two_pi
+                                if fth >= two_pi:
+                                    fth = 0.0
                             fcos = dx * inv
                             fsin = dy * inv
                         else:
@@ -407,19 +419,36 @@ class OperbEncoder:
                             dplus = plus
                             dminus = minus
                             d_x = d
-                            if opt3:
+                            # opt3 caps the applicable extreme ex at
+                            # cap = jl*sin(j*asin(d/jl)). Two exact rules
+                            # skip asin and sin and give the same bits:
+                            # - at d = 0 the cap is d, sign of zero included;
+                            # - asin(u) >= u and sin(a) >= 2a/pi on
+                            #   [0, pi/2], so cap >= min(jl, 2/pi*j*d): an
+                            #   ex below jl and jordan*j*d lies below the
+                            #   cap, as jordan's 3e-5 margin outweighs the
+                            #   cap's rounding while d >= dmin.
+                            if opt3 and d != 0.0:
                                 ex = plus if fpos else minus
-                                u = d / jl
-                                if u > 1.0:
-                                    u = 1.0
-                                a_full = j * asin(u)
-                                cap = jl if a_full >= half_pi else jl * sin(a_full)
-                                d_x = ex if ex < cap else cap
+                                if ex < jl and d >= dmin and ex < jordan * j * d:
+                                    d_x = ex
+                                else:
+                                    u = d / jl
+                                    if u > 1.0:
+                                        u = 1.0
+                                    a_full = j * asin(u)
+                                    cap = jl if a_full >= half_pi else jl * sin(a_full)
+                                    d_x = ex if ex < cap else cap
                             dj = (j - lz) if opt4 else 1
-                            arg = d_x / jl
-                            if arg > 1.0:
-                                arg = 1.0
-                            step = asin(arg) * (dj / j)
+                            if d_x == 0.0:
+                                # asin keeps a zero and its sign, so this is
+                                # asin(d_x / jl) * (dj / j), sign included.
+                                step = d_x * dj
+                            else:
+                                arg = d_x / jl
+                                if arg > 1.0:
+                                    arg = 1.0
+                                step = asin(arg) * (dj / j)
                             fth = fth + step if fpos else fth - step
                             if not 0.0 <= fth < two_pi:
                                 fth = norm(fth)
@@ -455,7 +484,9 @@ class OperbEncoder:
                         # the anchor, so no zero-vector rule.
                         ab_th = atan2(la.y - ay, la.x - ax)
                         if ab_th < 0.0:
-                            ab_th = norm(ab_th)
+                            ab_th += two_pi
+                            if ab_th >= two_pi:
+                                ab_th = 0.0
                         ab_cos = cos(ab_th)
                         ab_sin = sin(ab_th)
                     else:

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from trajsimp.datagen import SplitMix64, gen_grid_route, gen_random_walk
 from trajsimp.errors import DataError
 from trajsimp.fitting import FitConfig, coord_limit
-from trajsimp.geometry import TWO_PI, Point, admits, iter_points, rows_view
+from trajsimp.geometry import (TWO_PI, Point, admits, iter_points, norm_angle,
+                               rows_view)
 from trajsimp.metrics import _segment_distances, verify_error_bound
 from trajsimp.onepass import (
     Mode,
@@ -31,6 +32,8 @@ P = Point
 
 # sha256 of the text hashed by test_encoder_output_and_fit_match_the_pinned_digest.
 ENCODER_SHA256 = "187570617ee8e9b7248b7d0d4838e63cc4e64c0e0f5f6251b8b22853c522508f"
+# The same, for test_encoder_matches_the_pinned_digest_at_extreme_scales.
+EXTREME_SHA256 = "a67df3b0cba8b2ec9bde44bf33e3bcd9d71cd71d899986fa0f43055968b4ba72"
 
 RIGHT_ANGLE = [P(0, 0, 0), P(1, 0, 1), P(2, 0, 2), P(2, 1, 3), P(2, 2, 4)]
 CORNER_CUT = [P(0, 0, 0), P(1, 0, 1), P(2, 0, 2), P(3, 1, 3), P(3, 2, 4), P(3, 3, 5)]
@@ -744,13 +747,69 @@ def _digest_trajectories():
     )
 
 
-def _encoder_digest(form):
+def _scaled(traj, scale, offset=0.0):
+    return [P(p.x * scale + offset, p.y * scale + offset, p.t) for p in traj]
+
+
+def _signed_zero_leg(n, seed):
+    """n points along the x axis, one unit apart, each off it by 0.0 or
+    -0.0: the anchor by 0.0 and the fourth point by -0.0, so at zeta 2 the
+    fitted bearing starts as -0.0, then seeded signs. Every later point is
+    a stretch with a deviation of 0.0 or -0.0."""
+    rng = SplitMix64(seed)
+    ys = [-0.0 if rng.randint(0, 1) else 0.0 for _ in range(n)]
+    ys[0], ys[3] = 0.0, -0.0
+    return [P(float(k), y, float(k)) for k, y in enumerate(ys)]
+
+
+def _underflow_leg():
+    """A stretch whose deviation over the zone length underflows while the
+    extreme it would take does not: the cap is then 0, though the extreme
+    lies below (2/pi)*j*d."""
+    return [P(0.0, 0.0, 0.0), P(2.0, 0.0, 1.0), P(2.1, 5e-311, 2.0),
+            P(1e10, 1e-320, 3.0), P(1e20, 2e-320, 4.0), P(1e90, 0.0, 5.0)]
+
+
+def _far_leg(n):
+    """A leg along the x axis out to 1e90 whose points sit off it by
+    deviations from -1e-200 down to zeros and subnormals, so the stretch
+    meets zone counts near 1e90 and deviations whose ratio to the zone
+    length underflows."""
+    offs = (1e-310, 1e-320, -1e-318, 0.0, -0.0, 1e-200, 5e-324, -1e-200)
+    return [P(2.0 * 10.0 ** (90.0 * k / n) if k else 0.0,
+              offs[k % len(offs)], float(k)) for k in range(n)]
+
+
+def _extreme_digest_groups():
+    """(zeta, trajectories) groups outside the reach of the first digest:
+    a huge zeta over deviations of 1e-100, subnormal- and 1e90-scale walks,
+    offsets of 1e7, a leg out to 1e90, a collinear leg of signed zeros and
+    a stretch whose cap underflows."""
+    walk = gen_random_walk(200, 5)
+    flat = [P(p.t * 1e97, 1e-100 if k % 3 else -1e-100, p.t)
+            for k, p in enumerate(gen_random_walk(100, 5))]
+    return [
+        (1e250, [flat]),
+        (1e-320, [_scaled(walk, 1e-316)]),
+        (1e-158, [_scaled(walk, 1e-157)]),
+        (1e90, [_scaled(walk, 1e89), _scaled(gen_grid_route(200, 5), 1e89)]),
+        (2.0, [_scaled(walk, 1.0, 1e7), _far_leg(200)]),
+        (40.0, [_scaled(gen_grid_route(200, 5, step=20.0), 1.0, 1e7)]),
+        (2.0, [_signed_zero_leg(200, 5)]),
+        (1.0, [_underflow_leg()]),
+    ]
+
+
+def _encoder_digest(form, groups=None):
     """sha256 of the segments, counters and the fit state after every push,
-    for every opt set in both modes at a small and a large zeta. form(pts)
+    for every opt set in both modes, over groups of (zeta, trajectories):
+    by default a small and a large zeta over _digest_trajectories. form(pts)
     gives the trajectory to simplify and the points to push, in one input
     form; every output point must be a Point whatever the form, and the
     pushed points must finish as simplify ends (not hashed)."""
-    trajs = [form(traj) for traj in _digest_trajectories()]
+    if groups is None:
+        groups = [(zeta, _digest_trajectories()) for zeta in (2.0, 40.0)]
+    groups = [(zeta, [form(traj) for traj in trajs]) for zeta, trajs in groups]
     configs = [
         dict(opt1=o1, opt2=o2, opt3=o3, opt4=o4, opt5=o5)
         for o1 in (False, True) for o2 in (False, True) for o3 in (False, True)
@@ -759,7 +818,7 @@ def _encoder_digest(form):
     configs += [dict(gamma_m=0.0), dict(gamma_m=math.pi)]
     digest = hashlib.sha256()
     for i, opts in enumerate(configs):
-        for zeta in (2.0, 40.0):
+        for zeta, trajs in groups:
             cfg = FitConfig(zeta=zeta, **opts)
             for mode in (Mode.OPERB, Mode.OPERB_A):
                 for traj, _ in trajs:
@@ -791,6 +850,13 @@ def test_encoder_output_and_fit_match_the_pinned_digest():
     """As the encoder's output was when the digest was pinned. Update the
     digest only for an intended change of output."""
     assert _encoder_digest(lambda pts: (pts, pts)) == ENCODER_SHA256
+
+
+def test_encoder_matches_the_pinned_digest_at_extreme_scales():
+    """As test_encoder_output_and_fit_match_the_pinned_digest, on inputs
+    the first digest never reaches."""
+    digest = _encoder_digest(lambda pts: (pts, pts), _extreme_digest_groups())
+    assert digest == EXTREME_SHA256
 
 
 def _as_view(pts):
@@ -935,3 +1001,138 @@ def test_zone_index_takes_one_rounding_call_to_the_same_zone():
 def test_zone_index_matches_the_floor_snap_ceil_rule(target):
     zx, j = _kernel_zone(target)
     assert j == _old_zone(zx)
+
+
+def _stretch_by_full_expressions(fit, p, cfg):
+    """The fit after the kernel's stretch step to p from the state fit, with
+    opt3's cap and the rotation step worked out by the full asin and sin
+    expressions: (d_plus_max, d_minus_max, last_zone, fit_len, fit_theta,
+    fit_cos, fit_sin)."""
+    zeta = cfg.zeta
+    half = 0.5 * zeta
+    dx = p[0] - fit.anchor.x
+    dy = p[1] - fit.anchor.y
+    r_len = math.sqrt(dx * dx + dy * dy)
+    d_signed = dx * fit.fit_sin - dy * fit.fit_cos
+    d = -d_signed if d_signed < 0.0 else d_signed
+    prod = d_signed * (dx * fit.fit_cos + dy * fit.fit_sin)
+    fpos = prod < 0.0 or (prod == 0.0 and d_signed <= 0.0)
+    plus, minus = fit.d_plus_max, fit.d_minus_max
+    if fpos:
+        plus = plus if plus > d else d
+    else:
+        minus = minus if minus > d else d
+    zx = 2.0 * r_len / zeta - 0.5
+    j = math.ceil(zx)
+    if zx < 2.0 ** 52 and zx - (j - 1) < 1e-12:
+        j -= 1
+    jl = j * half
+    d_x = d
+    if cfg.opt3:
+        ex = plus if fpos else minus
+        u = d / jl
+        if u > 1.0:
+            u = 1.0
+        a_full = j * math.asin(u)
+        cap = jl if a_full >= math.pi / 2.0 else jl * math.sin(a_full)
+        d_x = ex if ex < cap else cap
+    dj = (j - fit.last_zone) if cfg.opt4 else 1
+    arg = d_x / jl
+    if arg > 1.0:
+        arg = 1.0
+    step = math.asin(arg) * (dj / j)
+    fth = fit.fit_theta + step if fpos else fit.fit_theta - step
+    if not 0.0 <= fth < TWO_PI:
+        fth = norm_angle(fth)
+    return plus, minus, j, jl, fth, math.cos(fth), math.sin(fth)
+
+
+def _bits(values):
+    """Values compared as floats down to the sign of a zero."""
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+# Deviations for the stretch test, as a fraction of zeta or as a value:
+# zeros of either sign, subnormals, tiny normals and values near zeta,
+# where the zone length jl of zone 2 lies.
+DEVIATIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 2.5e-318, 1e-310, 1e-300]),
+    st.floats(min_value=0.0, max_value=1.0).map(lambda f: ("z", f)),
+    st.sampled_from([("z", 1.0), ("z", 0.5), ("z", 0.7854), ("z", 1.0 - 2 ** -52)]),
+)
+
+
+@given(
+    zeta=st.one_of(
+        st.sampled_from([1e-323, 1e-300, 1e-150, 1.0, 2.0, 40.0, 1e90, 1e300]),
+        st.builds(lambda m, e: m * 10.0 ** e,
+                  st.floats(min_value=1.0, max_value=9.99), st.integers(-323, 100)),
+    ),
+    j_first=st.integers(1, 2 ** 40),
+    j_gap=st.integers(1, 2 ** 40),
+    dev=DEVIATIONS,
+    earlier=st.none() | DEVIATIONS,
+    signs=st.tuples(*(st.sampled_from([1.0, -1.0]) for _ in range(3))),
+    opts=opt_combos(),
+)
+@example(zeta=1.0, j_first=3, j_gap=2 ** 40, dev=1e-320, earlier=1e-310,
+         signs=(1.0, 1.0, 1.0), opts=(True,) * 5)
+@example(zeta=2.0, j_first=3, j_gap=4, dev=-0.0, earlier=None,
+         signs=(1.0, -1.0, -1.0), opts=(True,) * 5)
+@example(zeta=2.0, j_first=3, j_gap=1, dev=("z", 0.7854), earlier=("z", 0.2),
+         signs=(1.0, 1.0, 1.0), opts=(True,) * 5)
+@example(zeta=2.0, j_first=1, j_gap=1, dev=("z", 1.0 - 2 ** -52), earlier=None,
+         signs=(1.0, 1.0, 1.0), opts=(False, True, True, True, True))
+def test_stretch_takes_the_full_expressions_bits(
+    zeta, j_first, j_gap, dev, earlier, signs, opts
+):
+    """Every stretch step of the kernel gives the fit state, down to the
+    sign of a zero, that the full cap and step expressions give from the
+    state before it. The anchor sits at the origin, a point on the x axis
+    at zone j_first, an optional point with the earlier deviation in that
+    zone, and the last point j_gap zones further on with deviation dev,
+    all on one side; zones are pulled in where they would leave
+    coord_limit or underflow the radius."""
+    o1, o2, o3, o4, o5 = opts
+    cfg = FitConfig(zeta=zeta, opt1=o1, opt2=o2, opt3=o3, opt4=o4, opt5=o5)
+    half = 0.5 * zeta
+    lim = coord_limit(zeta)
+    # A radius below 1e-150 squares to a subnormal or zero.
+    low = math.ceil(1e-150 / half)
+    high = math.floor(0.5 * lim / half)
+    j_first = max(j_first, low)
+    j_last = min(j_first + j_gap, high)
+    if j_last <= j_first:
+        return  # no stretch fits inside coord_limit at this zeta
+
+    def off(v, sign):
+        v = zeta * v[1] if isinstance(v, tuple) else v
+        return math.copysign(v, sign * math.copysign(1.0, v))
+
+    s0, s1, s2 = signs
+    pts = [P(0.0, off(0.0, s0), 0.0), P(j_first * half, off(0.0, s1), 1.0)]
+    if earlier is not None:
+        pts.append(P(j_first * half, off(earlier, s2), 2.0))
+    pts.append(P(j_last * half, off(dev, s2), 3.0))
+    enc = OperbEncoder(cfg, Mode.OPERB, pts[0])
+    stretched = 0
+    for p in pts[1:]:
+        before = enc.fit
+        enc.push(p)
+        after = enc.fit
+        if before.fit_len == 0.0 or after.anchor != before.anchor:
+            continue  # the first active point, or a break
+        if after.last_active != p:
+            continue  # inactive
+        got = (after.d_plus_max, after.d_minus_max, after.last_zone,
+               after.fit_len, after.fit_theta, after.fit_cos, after.fit_sin)
+        want = _stretch_by_full_expressions(before, p, cfg)
+        assert got[2] == want[2]
+        assert _bits(got[:2] + got[3:]) == _bits(want[:2] + want[3:]), (p, before)
+        stretched += 1
+    # The second point is the first active one, the last lies a zone or
+    # more out and all lie within zeta/4 of L's line, so unless rounding
+    # merged the zones the last point took the stretch.
+    if (pts[1].x > (zeta if o1 else 0.25 * zeta) and pts[-1].x - pts[1].x >= half
+            and max(abs(p.y) for p in pts) <= 0.5 * half):
+        assert stretched
